@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench experiments fuzz clean ci fmt-check bench-smoke bench-json cover-check serve-smoke load-smoke load-bench
+.PHONY: all build vet test race bench experiments fuzz clean ci fmt-check bench-smoke bench-json bench-e2e cover-check serve-smoke load-smoke load-bench
 
 all: build vet test
 
@@ -42,8 +42,7 @@ bench:
 # derives each series' parallel efficiency ns1/(N·nsN) into the report.
 # BenchmarkRankCold / BenchmarkRankLongPostings (spelled explicitly
 # below, though the BenchmarkRank substring already matches them) pin
-# the pruned-vs-exhaustive ranking engines at seed and SR26 scale —
-# the speedup EXPERIMENTS.md quotes is read off this artifact.
+# the cold ranking cost at seed and SR26 scale.
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkMatchName|BenchmarkRank|BenchmarkRankCold|BenchmarkRankLongPostings|BenchmarkMatchSeed|BenchmarkMatchLargeDB|BenchmarkEstimateBatch/^(sequential|cached_warm)$$|BenchmarkTagPhrase|BenchmarkPipelineScratch|BenchmarkServeEstimate|BenchmarkServeRecipe' \
 		-benchmem -benchtime=1s ./internal/match/ ./internal/server/ . | tee bench_match.txt
@@ -55,6 +54,15 @@ bench-json:
 		-benchmem -benchtime=1s ./internal/memo/ | tee -a bench_match.txt
 	$(GO) run ./cmd/benchjson -in bench_match.txt -o BENCH_match.json
 	@rm -f bench_match.txt
+
+# The end-to-end benchmark declared in BENCHMARK.json: builds nutriserve
+# and nutribench from this tree and drives one workload, e.g.
+#   make bench-e2e WORKLOAD=bulk-longtail-sr26 SEED=3
+WORKLOAD ?= bulk-paper
+SEED ?= 1
+SECONDS ?= 40
+bench-e2e:
+	bash nutribench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS)
 
 # Regenerate every table and figure at full harness scale.
 experiments:

@@ -49,7 +49,6 @@ func main() {
 	cacheSize := flag.Int("cache", 8192, "memoization cache entries (phrase + match level); 0 disables")
 	cachePolicy := flag.String("cache-policy", "tinylfu", "memo cache admission policy: lru or tinylfu")
 	stats := flag.Bool("stats", false, "print memoization-cache and matcher-engine statistics after estimation")
-	matchPruning := flag.Bool("match-pruning", true, "candidate-pruned ranking engine; false selects the exhaustive spec engine (ablation)")
 	flag.Parse()
 
 	policy, err := memo.ParsePolicy(*cachePolicy)
@@ -61,7 +60,7 @@ func main() {
 	phrases := flag.Args()
 	method := yield.None
 	if *batch {
-		runBatch(flag.Args(), *regional, *fuzzy, *applyYield, *verbose, *stats, *workers, *cacheSize, policy, *matchPruning)
+		runBatch(flag.Args(), *regional, *fuzzy, *applyYield, *verbose, *stats, *workers, *cacheSize, policy)
 		return
 	}
 	if *file != "" {
@@ -101,7 +100,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	e := newEstimator(*regional, *fuzzy, *cacheSize, policy, *matchPruning)
+	e := newEstimator(*regional, *fuzzy, *cacheSize, policy)
 	if !*applyYield {
 		method = yield.None
 	}
@@ -164,20 +163,18 @@ func printStats(e *core.Estimator) {
 		st.Docs, st.VocabSize, st.PostingLists, st.PostingEntries)
 	fmt.Printf("matcher arena: %d queries, %d pool misses (%.0f%% pool hit rate)\n",
 		st.PoolGets, st.PoolMisses, 100*st.PoolHitRate())
-	if st.PruningEnabled {
-		fmt.Printf("matcher prune: %d postings avoided, %d candidates dropped, %d compactions, %d gather exits, %d probe terms, %d terms skipped\n",
-			st.PrunePostingsAvoided, st.PruneDocsDropped, st.PruneCompactions,
-			st.PruneGatherExits, st.AdaptiveProbeTerms, st.PruneTermsSkipped)
-	}
+	fmt.Printf("matcher prune: %d postings avoided, %d candidates dropped, %d compactions, %d gather exits, %d probe terms, %d terms skipped\n",
+		st.PrunePostingsAvoided, st.PruneDocsDropped, st.PruneCompactions,
+		st.PruneGatherExits, st.AdaptiveProbeTerms, st.PruneTermsSkipped)
 }
 
 // newEstimator builds the shared estimator from the CLI switches.
-func newEstimator(regional, fuzzy bool, cacheSize int, policy memo.Policy, pruning bool) *core.Estimator {
+func newEstimator(regional, fuzzy bool, cacheSize int, policy memo.Policy) *core.Estimator {
 	db := usda.Seed()
 	if regional {
 		db = usda.WithRegional()
 	}
-	e, err := core.New(db, nil, core.Options{FuzzyMatch: fuzzy, CacheSize: cacheSize, CachePolicy: policy, DisableMatchPruning: !pruning})
+	e, err := core.New(db, nil, core.Options{FuzzyMatch: fuzzy, CacheSize: cacheSize, CachePolicy: policy})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nutriprofile: %v\n", err)
 		os.Exit(1)
@@ -188,7 +185,7 @@ func newEstimator(regional, fuzzy bool, cacheSize int, policy memo.Policy, pruni
 // runBatch is corpus mode: each arg is a recipe file; all recipes are
 // estimated concurrently on one worker pool sharing one memoized
 // estimator, and summarized one line per recipe in argument order.
-func runBatch(files []string, regional, fuzzy, applyYield, verbose, stats bool, workers, cacheSize int, policy memo.Policy, pruning bool) {
+func runBatch(files []string, regional, fuzzy, applyYield, verbose, stats bool, workers, cacheSize int, policy memo.Policy) {
 	if len(files) == 0 {
 		fmt.Fprintln(os.Stderr, "nutriprofile: -batch requires recipe-file arguments")
 		os.Exit(2)
@@ -223,7 +220,7 @@ func runBatch(files []string, regional, fuzzy, applyYield, verbose, stats bool, 
 		inputs[i] = core.RecipeInput{Phrases: rec.Phrases(), Servings: servings, Method: method}
 	}
 
-	e := newEstimator(regional, fuzzy, cacheSize, policy, pruning)
+	e := newEstimator(regional, fuzzy, cacheSize, policy)
 	outcomes := e.EstimateRecipes(inputs, workers)
 
 	tb := report.NewTable("Recipe", "Title", "Mapped", "Total kcal", "kcal/serving")

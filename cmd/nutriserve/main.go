@@ -61,7 +61,6 @@ func main() {
 	regional := flag.Bool("regional", false, "use the merged SR+FAO composition table")
 	dbImage := flag.String("db", "", "serve from a baked DB image (cmd/dbbake); enables POST /admin/reload")
 	fuzzy := flag.Bool("fuzzy", false, "enable typo-tolerant matching")
-	matchPruning := flag.Bool("match-pruning", true, "candidate-pruned ranking engine; false selects the exhaustive spec engine (ablation)")
 	quiet := flag.Bool("quiet", false, "disable per-request access logging")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	flag.Parse()
@@ -70,7 +69,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("nutriserve: %v", err)
 	}
-	opts := core.Options{FuzzyMatch: *fuzzy, CacheSize: *cacheSize, DisableCoalescing: !*coalesce, CachePolicy: policy, DisableMatchPruning: !*matchPruning}
+	opts := core.Options{FuzzyMatch: *fuzzy, CacheSize: *cacheSize, DisableCoalescing: !*coalesce, CachePolicy: policy}
 	var est *core.Estimator
 	switch {
 	case *dbImage != "":

@@ -12,8 +12,8 @@ package core
 //     and repeats are served from per-slot L1 caches with no shared
 //     writes on the hot path.
 //
-//   - Work-stealing (sequential batches, uncached estimators, and the
-//     DisableSharding ablation): indices are handed out by an atomic
+//   - Work-stealing (sequential batches, uncached estimators, and
+//     recipe-corpus batches): indices are handed out by an atomic
 //     counter, which balances skewed per-item costs but funnels every
 //     repeat through the shared L2.
 //
@@ -118,7 +118,7 @@ func (e *Estimator) batchInto(ctx context.Context, phrases []string, workers int
 	// reload lands mid-batch.
 	v := e.pin()
 	workers = normWorkers(workers, len(phrases))
-	if workers > 1 && e.phraseCache != nil && !e.opts.DisableSharding {
+	if workers > 1 && e.phraseCache != nil {
 		if workers > numSlots {
 			workers = numSlots
 		}

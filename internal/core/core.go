@@ -121,32 +121,12 @@ type Options struct {
 	// hatch. Meaningless when CacheSize == 0 — with no cache to land
 	// results in, deduplicating the computation would not be observable.
 	DisableCoalescing bool
-	// DisableSharding turns off the phrase-hash-partitioned batch
-	// dispatch (see shard.go): parallel batches fall back to the
-	// work-stealing pool with the shared L2 cache only. Results are
-	// identical either way; the switch exists for the scaling ablation
-	// benchmarks.
-	DisableSharding bool
-	// DisableMatchPruning selects the matcher's straight-line exhaustive
-	// scoring engine instead of the candidate-pruned one (match.Options.
-	// DisablePruning). Rankings are byte-identical either way — the
-	// switch exists as the cold-path performance ablation, threaded to
-	// the CLIs as -match-pruning.
-	DisableMatchPruning bool
 	// Ablation switches.
 	DisableConversion   bool
 	DisablePhraseSearch bool
 	DisableMostFrequent bool
 	DisableDefaultRow   bool
 	DisableRepair       bool
-}
-
-// matchOptions is the match-engine configuration the estimator's
-// options select: engine defaults plus the pruning ablation.
-func (o Options) matchOptions() match.Options {
-	mo := match.DefaultOptions()
-	mo.DisablePruning = o.DisableMatchPruning
-	return mo
 }
 
 func (o *Options) fill() {
@@ -208,7 +188,7 @@ func New(db *usda.DB, tagger ner.Tagger, opts Options) (*Estimator, error) {
 	if db == nil {
 		return nil, errors.New("core: nil database")
 	}
-	return newEstimator(db, match.New(db, opts.matchOptions()), tagger, opts, "boot")
+	return newEstimator(db, match.NewDefault(db), tagger, opts, "boot")
 }
 
 // NewWithIndex builds an Estimator whose matcher adopts a prebuilt
@@ -220,7 +200,7 @@ func NewWithIndex(db *usda.DB, tagger ner.Tagger, opts Options, idx *match.Index
 		return nil, errors.New("core: nil database")
 	}
 	opts.fill()
-	m, err := match.NewFromIndex(db, opts.matchOptions(), idx)
+	m, err := match.NewFromIndex(db, match.DefaultOptions(), idx)
 	if err != nil {
 		return nil, err
 	}

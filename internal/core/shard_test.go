@@ -58,8 +58,9 @@ func TestSlotIndexStableUnderStorm(t *testing.T) {
 }
 
 // TestShardedBatchMatchesSequential: the sharded parallel dispatch, the
-// work-stealing ablation (DisableSharding), and the sequential path must
-// produce byte-identical output on the same input.
+// uncached work-stealing pool, and the sequential path must produce
+// byte-identical output on the same input. (The cached work-stealing
+// pool is pinned by TestEstimateRecipesSharedWorkers.)
 func TestShardedBatchMatchesSequential(t *testing.T) {
 	phrases := stormPhrases(t)
 
@@ -74,7 +75,6 @@ func TestShardedBatchMatchesSequential(t *testing.T) {
 		opts Options
 	}{
 		{"sharded", Options{CacheSize: 1 << 12}},
-		{"work-stealing", Options{CacheSize: 1 << 12, DisableSharding: true}},
 		{"uncached", Options{}},
 	} {
 		for _, workers := range []int{2, 4, 8, 32} {
@@ -262,7 +262,8 @@ func TestObserveUnitsInvalidatesSlotL1(t *testing.T) {
 
 // TestEstimateRecipesSharedWorkers: the recipe-corpus path runs on the
 // same worker environments; outcomes must match the sequential recipe
-// API exactly.
+// API exactly. At workers=4 on a caching estimator this is the
+// work-stealing pool serving repeats through the shared L2.
 func TestEstimateRecipesSharedWorkers(t *testing.T) {
 	corpus, phrases := testCorpus(t, 30)
 	inputs := make([]RecipeInput, len(phrases))

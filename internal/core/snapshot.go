@@ -140,11 +140,11 @@ func (e *Estimator) Install(db *usda.DB, idx *match.Index, source string) (Snaps
 	var m *match.Matcher
 	if idx != nil {
 		var err error
-		if m, err = match.NewFromIndex(db, e.opts.matchOptions(), idx); err != nil {
+		if m, err = match.NewFromIndex(db, match.DefaultOptions(), idx); err != nil {
 			return SnapshotStats{}, fmt.Errorf("core: installing database: %w", err)
 		}
 	} else {
-		m = match.New(db, e.opts.matchOptions())
+		m = match.NewDefault(db)
 	}
 
 	e.swapMu.Lock()

@@ -15,29 +15,23 @@ const oovID = ^uint32(0)
 // Matcher's sync.Pool and all slices are re-sliced to length 0, never
 // freed.
 //
-// The accumulators are epoch-stamped: stamp[d] == epoch means document
-// d's counters belong to the current query, anything else is stale
-// garbage from an earlier query that costs nothing to "clear". The
-// epoch counter bumping per query replaces an O(docs) memset; on the
-// (once per 4 billion queries) wraparound the stamps are actually
+// The accumulators are epoch-stamped: acc[d].stamp == epoch means
+// document d's counters belong to the current query, anything else is
+// stale garbage from an earlier query that costs nothing to "clear".
+// The epoch counter bumping per query replaces an O(docs) memset; on
+// the (once per 4 billion queries) wraparound the stamps are actually
 // cleared once and the epoch restarts at 1.
 type arena struct {
 	epoch uint32
-	stamp []uint32 // stamp[d] == epoch ⇔ inter[d]/pri[d] are live
-	inter []int32  // |A ∩ doc| accumulator, by document index
-	pri   []int32  // Σ matched-term priorities (§II-B(h)), by document
+	acc   []accEntry // per-document accumulators, by document index
 
 	touched []int32 // documents marked live this query (anchor hits)
 	cands   []cand  // selection buffer for the bounded top-k heap
 
-	// Pruned-engine scratch (prune.go): packed per-document accumulators
-	// (one cache line instead of three per doc touch — the walks access
-	// documents randomly, so stamp/inter/pri on one 12-byte entry halve
-	// the engine's memory traffic versus the spec's parallel arrays),
-	// the df-ordered term schedule, and the histogram of live candidates'
-	// intersection counts the bar tests read. Grown on demand and reused
-	// across queries like every other arena slice.
-	acc   []accEntry
+	// Ranking-engine scratch (prune.go): the df-ordered term schedule
+	// and the histogram of live candidates' intersection counts the bar
+	// tests read. Grown on demand and reused across queries like every
+	// other arena slice.
 	sched []schedTerm
 	histo []int32
 
@@ -53,8 +47,9 @@ type arena struct {
 	rawEligible bool // §II-B(g) provision applies to this query
 }
 
-// accEntry is the pruned engine's per-document accumulator: the epoch
-// stamp and both counters on a single cache line.
+// accEntry is one document's accumulator: the epoch stamp and both
+// counters on a single cache line (the walks access documents randomly,
+// so one 12-byte entry per touch beats three parallel arrays).
 type accEntry struct {
 	stamp uint32 // == arena epoch ⇔ inter/pri are live this query
 	inter int32  // |A ∩ doc|
@@ -62,19 +57,13 @@ type accEntry struct {
 }
 
 func newArena(docs int) *arena {
-	return &arena{
-		stamp: make([]uint32, docs),
-		inter: make([]int32, docs),
-		pri:   make([]int32, docs),
-		acc:   make([]accEntry, docs),
-	}
+	return &arena{acc: make([]accEntry, docs)}
 }
 
 // nextEpoch starts a new query's accumulator generation.
 func (a *arena) nextEpoch() uint32 {
 	a.epoch++
 	if a.epoch == 0 { // wraparound: invalidate stale stamps for real
-		clear(a.stamp)
 		clear(a.acc)
 		a.epoch = 1
 	}

@@ -88,36 +88,29 @@ var longPostingQueries = []Query{
 	{Name: "quail", State: "raw"},
 }
 
-// benchRankEngines runs one query set over both engines at k ∈ {1, 10}:
-// the pruned/exhaustive pairing is what the nightly bench gate tracks
-// and EXPERIMENTS.md quotes as the pruning speedup.
+// benchRankEngines runs one query set at k ∈ {1, 10}. The "pruned/"
+// name segment is kept so the nightly bench gate can keep comparing
+// these rows against HEAD~1 and the recorded BENCH_match.json.
 func benchRankEngines(b *testing.B, db *usda.DB, queries []Query) {
-	for _, eng := range []struct {
-		name    string
-		disable bool
-	}{{"pruned", false}, {"exhaustive", true}} {
-		opts := DefaultOptions()
-		opts.DisablePruning = eng.disable
-		m := New(db, opts)
-		for _, k := range []int{1, 10} {
-			b.Run(fmt.Sprintf("%s/k=%d", eng.name, k), func(b *testing.B) {
-				var buf []Result
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					buf = m.RankInto(queries[i%len(queries)], k, buf)
-					if len(buf) == 0 {
-						b.Fatal("no results")
-					}
+	m := NewDefault(db)
+	for _, k := range []int{1, 10} {
+		b.Run(fmt.Sprintf("pruned/k=%d", k), func(b *testing.B) {
+			var buf []Result
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = m.RankInto(queries[i%len(queries)], k, buf)
+				if len(buf) == 0 {
+					b.Fatal("no results")
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // BenchmarkRankCold is the cache-miss ranking cost on the realistic
 // query mix — the per-phrase price every cold batch pays — at seed and
-// SR26 scale, both engines.
+// SR26 scale.
 func BenchmarkRankCold(b *testing.B) {
 	for _, sc := range []struct {
 		name string

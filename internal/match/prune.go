@@ -1,10 +1,9 @@
 package match
 
-// The candidate-pruned ranking engine (DESIGN.md §16). rankCandsPruned
-// produces byte-identical results to rankCandsExhaustive — the
-// straight-line engine kept as the executable spec behind
-// Options.DisablePruning — while doing strictly less posting work on
-// three classical IR axes:
+// The candidate-pruned ranking engine (DESIGN.md §16). rankCands
+// produces byte-identical results to the straight-line exhaustive
+// engine — kept as the executable spec in prune_test.go — while doing
+// strictly less posting work on four classical IR axes:
 //
 //  1. df-ordered term scheduling. Scored terms are processed
 //     rarest-first (anchor terms — the only terms allowed to CREATE
@@ -15,7 +14,7 @@ package match
 //     same final counters; order only decides how early the pruning
 //     bars engage.
 //
-//  2. A merged gather+score pass. The exhaustive engine walks every
+//  2. A merged gather+score pass. The exhaustive spec walks every
 //     anchor posting list twice — once to mark candidates, once to
 //     score them. Here the anchor walk accumulates as it marks, so a
 //     query whose heaviest term sits in the NAME itself ("raw chicken")
@@ -136,11 +135,14 @@ func kthInter(hist []int32, k int) int32 {
 	return 0
 }
 
-// rankCandsPruned is the adaptive early-termination ranking engine.
-// See the file comment for the exactness argument; the golden, fuzz and
-// metamorphic differentials in prune_test.go pin it to the exhaustive
-// spec byte-for-byte.
-func (m *Matcher) rankCandsPruned(a *arena, q Query, k int) []cand {
+// rankCands runs the scoring engine: prepare the query in ID space,
+// accumulate term-at-a-time over posting lists with the pruning above,
+// then select and order the top k (all, for k ≤ 0) under the total
+// order. The returned slice lives in the arena and is valid until
+// putArena. See the file comment for the exactness argument; the
+// golden, fuzz and metamorphic differentials in prune_test.go pin it to
+// the exhaustive spec byte-for-byte.
+func (m *Matcher) rankCands(a *arena, q Query, k int) []cand {
 	if !a.prepare(m, q) {
 		return nil
 	}

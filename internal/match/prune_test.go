@@ -1,16 +1,15 @@
 package match
 
-// Differential suite for the candidate-pruned ranking engine. The
-// exhaustive engine behind Options.DisablePruning is the executable
-// specification (rankCandsExhaustive); every test here demands
-// reflect.DeepEqual-identical []Result slices from both engines — same
-// scores, same tie-breaks, same Matched materialization, same slice
-// nil-ness — across golden corpora, randomized databases, fuzzed
-// queries, and the full SR26-scale NER workload. A pruning bug cannot
-// hide behind "close enough": one divergent cell fails the suite.
+// Differential suite for the candidate-pruned ranking engine.
+// rankExhaustive below is the executable specification: every test here
+// demands a reflect.DeepEqual-identical []Result from Matcher.Rank and
+// from the spec on the same matcher — same scores, same tie-breaks,
+// same Matched materialization, same slice nil-ness — across golden
+// corpora, randomized databases, fuzzed queries, and the full
+// SR26-scale NER workload. A pruning bug cannot hide behind "close
+// enough": one divergent cell fails the suite.
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -20,24 +19,86 @@ import (
 	"nutriprofile/internal/usda"
 )
 
-// prunePair builds the two engines over one database with otherwise
-// identical options.
-func prunePair(db *usda.DB, opts Options) (pruned, exhaustive *Matcher) {
-	opts.DisablePruning = false
-	pruned = New(db, opts)
-	opts.DisablePruning = true
-	exhaustive = New(db, opts)
-	return pruned, exhaustive
+// rankExhaustive is the straight-line spec engine: a gather pass over
+// the anchor posting lists, a full scoring pass over every scored
+// term's posting list, then a full sort truncated to k. No early
+// termination, no adaptive lookups, no bounded heap — every equality
+// is trivially exact. It scores into its own per-call counters and a
+// fresh arena, sharing only query preparation (arena.prepare), the
+// total order (sortCands) and Result materialization with production.
+func rankExhaustive(m *Matcher, q Query, k int) []Result {
+	a := new(arena)
+	if !a.prepare(m, q) {
+		return nil
+	}
+
+	// Gather-and-mark pass over the anchor terms' posting lists: under
+	// NameAnchoring, STATE/TEMP/DF words may strengthen a match but
+	// never create one. slot maps a marked document to its counters.
+	slot := map[int32]int{}
+	var touched []int32
+	for _, t := range a.anchorIDs {
+		for _, d := range m.postDocs[m.postOff[t]:m.postOff[t+1]] {
+			if _, ok := slot[d]; !ok {
+				slot[d] = len(touched)
+				touched = append(touched, d)
+			}
+		}
+	}
+
+	// Scoring pass: every scored term contributes its posting list to
+	// the marked documents' counters.
+	inter := make([]int32, len(touched))
+	pri := make([]int32, len(touched))
+	for _, t := range a.ids {
+		off, end := m.postOff[t], m.postOff[t+1]
+		pris := m.postPri[off:end]
+		for j, d := range m.postDocs[off:end] {
+			if i, ok := slot[d]; ok {
+				inter[i]++
+				pri[i] += pris[j]
+			}
+		}
+	}
+
+	// Score, filter, order everything, keep the first k.
+	var sel []cand
+	scoredLen := float64(a.scoredLen)
+	for i, d := range touched {
+		var score float64
+		if m.opts.Metric == VanillaJaccard {
+			score = float64(inter[i]) / (scoredLen + float64(m.docLen(d)) - float64(inter[i]))
+		} else {
+			score = float64(inter[i]) / scoredLen
+		}
+		if score < m.opts.MinScore {
+			continue
+		}
+		sel = append(sel, cand{score: score, pri: pri[i], doc: d, raw: a.rawEligible && m.hasRaw[d]})
+	}
+	sortCands(sel, m)
+	if k > 0 && len(sel) > k {
+		sel = sel[:k]
+	}
+	if len(sel) == 0 {
+		return nil
+	}
+	out := make([]Result, len(sel))
+	for i, c := range sel {
+		m.fillResult(a, c, &out[i])
+	}
+	return out
 }
 
-// diffCell compares one (query, k) cell across the engine pair.
-func diffCell(t testing.TB, pruned, exhaustive *Matcher, q Query, k int) {
+// diffCell compares one (query, k) cell: the production engine against
+// the exhaustive spec on the same matcher.
+func diffCell(t testing.TB, m *Matcher, q Query, k int) {
 	t.Helper()
-	got := pruned.Rank(q, k)
-	want := exhaustive.Rank(q, k)
+	got := m.Rank(q, k)
+	want := rankExhaustive(m, q, k)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("pruned diverged from exhaustive spec: q=%+v k=%d opts=%+v\n  pruned %s\n  spec   %s",
-			q, k, pruned.opts, renderResults(got), renderResults(want))
+			q, k, m.opts, renderResults(got), renderResults(want))
 	}
 }
 
@@ -53,10 +114,10 @@ func TestPruneDifferentialGolden(t *testing.T) {
 	corpus := goldenCorpus(db)
 	cells := 0
 	for _, opts := range goldenOptionSets() {
-		pruned, exhaustive := prunePair(db, opts)
+		m := New(db, opts)
 		for _, q := range corpus {
 			for _, k := range pruneKs {
-				diffCell(t, pruned, exhaustive, q, k)
+				diffCell(t, m, q, k)
 				cells++
 			}
 		}
@@ -143,10 +204,10 @@ func TestPruneMetamorphicRandom(t *testing.T) {
 			qs[i] = randomQuery(rng)
 		}
 		for _, opts := range goldenOptionSets() {
-			pruned, exhaustive := prunePair(db, opts)
+			m := New(db, opts)
 			for _, q := range qs {
 				for _, k := range pruneKs {
-					diffCell(t, pruned, exhaustive, q, k)
+					diffCell(t, m, q, k)
 					cells++
 				}
 			}
@@ -183,15 +244,15 @@ func FuzzPruneDifferential(f *testing.F) {
 		if bits&32 != 0 {
 			opts.MinScore = 0.5
 		}
-		pruned, exhaustive := prunePair(db, opts)
+		m := New(db, opts)
 		k := int(bits >> 6) // 0..3: all, 1, 2, 3
 		for _, q := range []Query{
 			{Name: name, State: state},
 			{Name: name},
 			randomQuery(rng),
 		} {
-			diffCell(t, pruned, exhaustive, q, k)
-			diffCell(t, pruned, exhaustive, q, 10)
+			diffCell(t, m, q, k)
+			diffCell(t, m, q, 10)
 		}
 	})
 }
@@ -233,10 +294,10 @@ func TestPruneGoldenSR26Corpus(t *testing.T) {
 	for _, metric := range []Metric{ModifiedJaccard, VanillaJaccard} {
 		opts := DefaultOptions()
 		opts.Metric = metric
-		pruned, exhaustive := prunePair(db, opts)
+		m := New(db, opts)
 		for _, q := range queries {
 			for _, k := range []int{1, 10} {
-				diffCell(t, pruned, exhaustive, q, k)
+				diffCell(t, m, q, k)
 				cells++
 			}
 		}
@@ -244,27 +305,21 @@ func TestPruneGoldenSR26Corpus(t *testing.T) {
 	t.Logf("compared %d cells: %d NER queries over %d foods", cells, len(queries), db.Len())
 }
 
-// TestPruneCountersAccount pins the observability contract: the pruned
-// engine reports its work avoidance through MatcherStats, and the
-// exhaustive ablation reports none. The long-posting workload must
-// trigger every counter class the /metrics families export.
+// TestPruneCountersAccount pins the observability contract: the engine
+// reports its work avoidance through MatcherStats. The long-posting
+// workload must trigger every counter class the /metrics families
+// export.
 func TestPruneCountersAccount(t *testing.T) {
-	db := usda.Merged(2000, 3)
-	pruned, exhaustive := prunePair(db, DefaultOptions())
-	for _, m := range []*Matcher{pruned, exhaustive} {
-		for _, q := range longPostingQueries {
-			for _, k := range []int{1, 10} {
-				if rs := m.Rank(q, k); len(rs) == 0 {
-					t.Fatalf("no results for %+v", q)
-				}
+	m := New(usda.Merged(2000, 3), DefaultOptions())
+	for _, q := range longPostingQueries {
+		for _, k := range []int{1, 10} {
+			if rs := m.Rank(q, k); len(rs) == 0 {
+				t.Fatalf("no results for %+v", q)
 			}
 		}
 	}
 
-	st := pruned.Stats()
-	if !st.PruningEnabled {
-		t.Error("pruned engine reports PruningEnabled=false")
-	}
+	st := m.Stats()
 	for name, v := range map[string]uint64{
 		"PrunePostingsAvoided": st.PrunePostingsAvoided,
 		"PruneDocsDropped":     st.PruneDocsDropped,
@@ -273,40 +328,6 @@ func TestPruneCountersAccount(t *testing.T) {
 	} {
 		if v == 0 {
 			t.Errorf("%s = 0 after the long-posting workload", name)
-		}
-	}
-
-	se := exhaustive.Stats()
-	if se.PruningEnabled {
-		t.Error("exhaustive engine reports PruningEnabled=true")
-	}
-	for name, v := range map[string]uint64{
-		"PruneTermsSkipped":    se.PruneTermsSkipped,
-		"PrunePostingsAvoided": se.PrunePostingsAvoided,
-		"PruneDocsDropped":     se.PruneDocsDropped,
-		"PruneCompactions":     se.PruneCompactions,
-		"PruneGatherExits":     se.PruneGatherExits,
-		"AdaptiveProbeTerms":   se.AdaptiveProbeTerms,
-	} {
-		if v != 0 {
-			t.Errorf("exhaustive engine moved prune counter %s = %d", name, v)
-		}
-	}
-}
-
-// TestPruneOptionDefault documents that pruning is the production
-// default and the ablation flag round-trips through Stats.
-func TestPruneOptionDefault(t *testing.T) {
-	if DefaultOptions().DisablePruning {
-		t.Fatal("DefaultOptions disables pruning; the pruned engine must be the default")
-	}
-	for _, disable := range []bool{false, true} {
-		opts := DefaultOptions()
-		opts.DisablePruning = disable
-		m := New(usda.Seed(), opts)
-		if got := m.Stats().PruningEnabled; got != !disable {
-			t.Errorf("DisablePruning=%v: Stats().PruningEnabled = %v, want %v",
-				disable, got, fmt.Sprint(!disable))
 		}
 	}
 }

@@ -464,7 +464,7 @@ func (st *batchStream) decodeLine(sp *lineSpan) {
 		hasIngs   bool
 		phrase    []byte
 		method    []byte
-		servings  int64
+		servings  = int64(1) // absent or null: one serving
 		ingsStart = len(bs.ings)
 	)
 	for first := true; ; first = false {
@@ -516,12 +516,14 @@ func (st *batchStream) decodeLine(sp *lineSpan) {
 			}
 		case "servings":
 			hasRecipe = true
-			v, _, err := d.Int()
+			v, isNull, err := d.Int()
 			if err != nil {
 				st.badJSON(sp.line, err)
 				return
 			}
-			servings = v
+			if !isNull {
+				servings = v
+			}
 		case "method":
 			hasRecipe = true
 			val, isNull, err := d.String()
@@ -569,10 +571,7 @@ func (st *batchStream) decodeLine(sp *lineSpan) {
 			`"ingredients" must list at least one phrase`)
 		return
 	}
-	if servings == 0 {
-		servings = 1
-	}
-	if servings < 0 {
+	if servings <= 0 {
 		st.errItem(sp.line, http.StatusBadRequest, "bad_servings",
 			fmt.Sprintf("servings must be positive, got %d", servings))
 		return

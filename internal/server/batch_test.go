@@ -165,15 +165,16 @@ func TestBatchLineSemantics(t *testing.T) {
 		`{"phrase":"salt","ingredients":["salt"]}` + "\n" + // 9: mixed shapes
 		`{"bogus":1}` + "\n" + // 10
 		"null\n" + // 11
-		`{}` // 12: no trailing newline — still answered at clean EOF
+		`{"ingredients":["salt"],"servings":0}` + "\n" + // 12
+		`{}` // 13: no trailing newline — still answered at clean EOF
 
 	w := postBatch(t, s.Handler(), input)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, body %s", w.Code, w.Body.String())
 	}
 	lines := batchSplit(t, w.Body.Bytes())
-	if len(lines) != 11 {
-		t.Fatalf("got %d lines, want 11:\n%s", len(lines), w.Body.String())
+	if len(lines) != 12 {
+		t.Fatalf("got %d lines, want 12:\n%s", len(lines), w.Body.String())
 	}
 
 	var est EstimateResponse
@@ -198,7 +199,8 @@ func TestBatchLineSemantics(t *testing.T) {
 		{9, http.StatusBadRequest, "bad_request"},
 		{10, http.StatusBadRequest, "bad_json"},
 		{11, http.StatusBadRequest, "bad_request"},
-		{12, http.StatusBadRequest, "bad_request"},
+		{12, http.StatusBadRequest, "bad_servings"},
+		{13, http.StatusBadRequest, "bad_request"},
 	}
 	for i, want := range wantErrs {
 		eb := decodeBatchError(t, lines[2+i])

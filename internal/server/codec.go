@@ -137,7 +137,10 @@ type recipeRequestView struct {
 }
 
 // decodeRecipe parses a RecipeRequest from sc.body into sc.ingredients.
+// An absent (or null) "servings" decodes as 1; an explicit value,
+// including 0, is kept for the handler to validate.
 func (sc *serveScratch) decodeRecipe() (req recipeRequestView, err error) {
+	req.servings = 1
 	d := &sc.dec
 	d.Reset(sc.body)
 	isNull, err := d.ObjectStart()
@@ -178,11 +181,13 @@ func (sc *serveScratch) decodeRecipe() (req recipeRequestView, err error) {
 				sc.ingredients = append(sc.ingredients, byteView(val))
 			}
 		case "servings":
-			v, _, err := d.Int()
+			v, isNull, err := d.Int()
 			if err != nil {
 				return req, err
 			}
-			req.servings = int(v)
+			if !isNull {
+				req.servings = int(v)
+			}
 		case "method":
 			val, isNull, err := d.String()
 			if err != nil {

@@ -147,6 +147,7 @@ func TestCodecErrorEnvelopeEquality(t *testing.T) {
 		{"no_ingredients", "/v1/recipe", `{"ingredients":[]}`, 400, "no_ingredients"},
 		{"no_ingredients_missing", "/v1/recipe", `{}`, 400, "no_ingredients"},
 		{"bad_servings", "/v1/recipe", `{"ingredients":["1 cup milk"],"servings":-2}`, 400, "bad_servings"},
+		{"bad_servings_zero", "/v1/recipe", `{"ingredients":["1 cup milk"],"servings":0}`, 400, "bad_servings"},
 		{"bad_servings_float", "/v1/recipe", `{"ingredients":["1 cup milk"],"servings":2.5}`, 400, "bad_json"},
 		{"bad_method", "/v1/recipe", `{"ingredients":["1 cup milk"],"method":"microwaved"}`, 400, "bad_method"},
 		{"body_too_large", "/v1/estimate", `{"phrase":"` + strings.Repeat("a", 1024) + `"}`, 413, "body_too_large"},

@@ -104,6 +104,7 @@ func FuzzRecipeHandler(f *testing.F) {
 	f.Add([]byte(`{"ingredients":[""],"servings":1}`))
 	f.Add([]byte(`{"ingredients":"flour"}`))
 	f.Add([]byte(`{"servings":2}`))
+	f.Add([]byte(`{"ingredients":["salt"],"servings":0}`))
 
 	s := sharedFuzzServer(f)
 	h := s.Handler()
@@ -152,6 +153,7 @@ func FuzzBatchHandler(f *testing.F) {
 	f.Add([]byte(`{"phrase":"salt","ingredients":["x"]}` + "\n" + `{"bogus":1}`))
 	f.Add([]byte("\x00\xff\xfe\n"))
 	f.Add([]byte(`{"phrase":"1 ½ cups milk"}` + "\n"))
+	f.Add([]byte(`{"ingredients":["salt"],"servings":0}` + "\n" + `{"ingredients":["salt"]}` + "\n"))
 
 	s := sharedFuzzServer(f)
 	h := s.Handler()

@@ -150,7 +150,8 @@ func (s *Server) estimateHot(sc *serveScratch, ctx context.Context, body io.Read
 type RecipeRequest struct {
 	// Ingredients are the recipe's ingredient phrases, one per line.
 	Ingredients []string `json:"ingredients"`
-	// Servings defaults to 1.
+	// Servings defaults to 1 when absent; an explicit value must be
+	// positive.
 	Servings int `json:"servings,omitempty"`
 	// Method optionally names a cooking method ("baked", "boiled", ...)
 	// to apply the cooking-yield correction to the totals. Unknown
@@ -191,10 +192,7 @@ func (s *Server) recipeHot(sc *serveScratch, ctx context.Context, body io.Reader
 		return errInto(sc, http.StatusBadRequest, "no_ingredients",
 			`"ingredients" must list at least one phrase`)
 	}
-	if req.servings == 0 {
-		req.servings = 1
-	}
-	if req.servings < 0 {
+	if req.servings <= 0 {
 		return errInto(sc, http.StatusBadRequest, "bad_servings",
 			fmt.Sprintf("servings must be positive, got %d", req.servings))
 	}

@@ -44,13 +44,6 @@ var matchFamilies = []struct {
 		func(st match.MatcherStats) float64 { return float64(st.Docs) }},
 	{"nutriserve_match_posting_entries", "Total posting entries in the live scoring index.", "gauge",
 		func(st match.MatcherStats) float64 { return float64(st.PostingEntries) }},
-	{"nutriserve_match_pruning_enabled", "1 when the candidate-pruned ranking engine is active, 0 under the exhaustive ablation.", "gauge",
-		func(st match.MatcherStats) float64 {
-			if st.PruningEnabled {
-				return 1
-			}
-			return 0
-		}},
 	{"nutriserve_match_vocab_size", "Distinct terms in the live scoring index's vocabulary.", "gauge",
 		func(st match.MatcherStats) float64 { return float64(st.VocabSize) }},
 }

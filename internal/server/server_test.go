@@ -148,6 +148,7 @@ func TestRecipeErrors(t *testing.T) {
 	}{
 		{"no ingredients", `{"ingredients":[]}`, "no_ingredients"},
 		{"negative servings", `{"ingredients":["salt"],"servings":-2}`, "bad_servings"},
+		{"zero servings", `{"ingredients":["salt"],"servings":0}`, "bad_servings"},
 		{"unknown method", `{"ingredients":["salt"],"method":"sous-vide"}`, "bad_method"},
 		{"bad json", `[1,2`, "bad_json"},
 	}
@@ -161,6 +162,29 @@ func TestRecipeErrors(t *testing.T) {
 				t.Fatalf("code %q, want %q", eb.Error.Code, tc.code)
 			}
 		})
+	}
+}
+
+// TestRecipeServingsDefault: only an absent (or null) "servings"
+// defaults to one serving, on the interactive and the bulk route alike;
+// an explicit 0 is rejected (TestRecipeErrors, TestBatchLineSemantics).
+func TestRecipeServingsDefault(t *testing.T) {
+	s := newTestServer(t, nil)
+	h := s.Handler()
+	for _, body := range []string{
+		`{"ingredients":["1 cup whole milk"]}`,
+		`{"ingredients":["1 cup whole milk"],"servings":null}`,
+	} {
+		w := postJSON(t, h, "/v1/recipe", body)
+		var single RecipeResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &single); w.Code != http.StatusOK || err != nil || single.Servings != 1 {
+			t.Errorf("/v1/recipe %s: status %d, servings %d (%v)", body, w.Code, single.Servings, err)
+		}
+		lines := batchSplit(t, postBatch(t, h, body+"\n").Body.Bytes())
+		var bulk RecipeResponse
+		if err := json.Unmarshal(lines[0], &bulk); len(lines) != 1 || err != nil || bulk.Servings != 1 {
+			t.Errorf("/v1/batch %s: servings %d (%v): %s", body, bulk.Servings, err, lines[0])
+		}
 	}
 }
 
