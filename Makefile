@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench experiments fuzz clean ci fmt-check bench-smoke bench-json bench-e2e cover-check serve-smoke load-smoke load-bench
+.PHONY: all build vet test race bench experiments fuzz clean ci fmt-check bench-smoke bench-json bench-e2e perf-ab cover-check serve-smoke load-smoke load-bench
 
 all: build vet test
 
@@ -37,18 +37,18 @@ bench:
 # Measure the perf-gated benchmarks (matching, batch estimation, the
 # pooled NLP front-end, and the serving hot path) and emit the
 # BENCH_match.json artifact the nightly workflow archives. The parallel
-# batch benchmarks also run at -cpu 1,4,8 so the artifact records the
+# recipe benchmark also runs at -cpu 1,4,8 so the artifact records the
 # multi-core scaling curve; benchfmt keys entries by (name, procs) and
 # derives each series' parallel efficiency ns1/(N·nsN) into the report.
 # BenchmarkRankCold / BenchmarkRankLongPostings (spelled explicitly
 # below, though the BenchmarkRank substring already matches them) pin
 # the cold ranking cost at seed and SR26 scale.
 bench-json:
-	$(GO) test -run xxx -bench 'BenchmarkMatchName|BenchmarkRank|BenchmarkRankCold|BenchmarkRankLongPostings|BenchmarkMatchSeed|BenchmarkMatchLargeDB|BenchmarkEstimateBatch/^(sequential|cached_warm)$$|BenchmarkTagPhrase|BenchmarkPipelineScratch|BenchmarkServeEstimate|BenchmarkServeRecipe' \
+	$(GO) test -run xxx -bench 'BenchmarkMatchName|BenchmarkRank|BenchmarkRankCold|BenchmarkRankLongPostings|BenchmarkMatchSeed|BenchmarkMatchLargeDB|BenchmarkEstimateRecipes/^sequential$$|BenchmarkTagPhrase|BenchmarkPipelineScratch|BenchmarkServeEstimate|BenchmarkServeRecipe' \
 		-benchmem -benchtime=1s ./internal/match/ ./internal/server/ . | tee bench_match.txt
 	$(GO) test -run xxx -bench 'BenchmarkLoadBaked|BenchmarkLoadParse' \
 		-benchmem -benchtime=1s ./internal/usda/bake/ | tee -a bench_match.txt
-	$(GO) test -run xxx -bench 'BenchmarkEstimateBatch/^(parallel|parallel_cached_warm)$$' -cpu 1,4,8 \
+	$(GO) test -run xxx -bench 'BenchmarkEstimateRecipes/^parallel_cached$$' -cpu 1,4,8 \
 		-benchmem -benchtime=1s . | tee -a bench_match.txt
 	$(GO) test -run xxx -bench 'BenchmarkMemoZipf|BenchmarkMemoGetHit' \
 		-benchmem -benchtime=1s ./internal/memo/ | tee -a bench_match.txt
@@ -63,6 +63,34 @@ SEED ?= 1
 SECONDS ?= 40
 bench-e2e:
 	bash nutribench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS)
+
+# Same-host A/B of the end-to-end benchmark, the loop in
+# nutribench/README.md: exports BASE and the committed HEAD with
+# git archive into a fresh directory under $(TMPDIR), outside the
+# repository, then runs WORKLOAD for seeds 1..PAIRS on both sides,
+# alternating which side runs first, and prints every output line
+# tagged with its side and seed. Each side builds in its own tree.
+#   make perf-ab BASE=HEAD~1 WORKLOAD=bulk-longtail-sr26 PAIRS=5
+BASE ?= HEAD~1
+PAIRS ?= 5
+TMPDIR ?= /tmp
+perf-ab:
+	@set -e; \
+	dir=$$(mktemp -d "$(TMPDIR)/perf-ab.XXXXXX"); \
+	trap 'rm -rf "$$dir"' EXIT; \
+	mkdir "$$dir/base" "$$dir/head"; \
+	git archive $(BASE) | tar -x -C "$$dir/base"; \
+	git archive HEAD | tar -x -C "$$dir/head"; \
+	base_rev=$$(git rev-parse --short $(BASE)); head_rev=$$(git rev-parse --short HEAD); \
+	for seed in $$(seq 1 $(PAIRS)); do \
+		order="base head"; [ $$((seed % 2)) = 0 ] && order="head base"; \
+		for side in $$order; do \
+			rev=$$base_rev; [ $$side = head ] && rev=$$head_rev; \
+			(cd "$$dir/$$side" && NUTRIBENCH_COMMIT=$$rev bash nutribench/run.sh \
+				--workload $(WORKLOAD) --seed $$seed --seconds $(SECONDS) --trace 0) > "$$dir/out.txt"; \
+			sed "s/^/side=$$side seed=$$seed /" "$$dir/out.txt"; \
+		done; \
+	done
 
 # Regenerate every table and figure at full harness scale.
 experiments:

@@ -360,7 +360,7 @@ func BenchmarkPipelineScratch(b *testing.B) {
 
 // batchCorpus flattens a generated corpus to its phrase list — the
 // repeated-ingredient workload (salt, butter, olive oil recur across
-// nearly every recipe) the memo cache and worker pool target.
+// nearly every recipe) the memo cache targets.
 func batchCorpus(b *testing.B, recipes int) []string {
 	b.Helper()
 	corpus, err := recipedb.Generate(recipedb.Config{NumRecipes: recipes, Seed: 42})
@@ -370,47 +370,11 @@ func batchCorpus(b *testing.B, recipes int) []string {
 	return corpus.Phrases()
 }
 
-// BenchmarkEstimateBatch measures the concurrent batch-estimation layer
-// against the sequential baseline on a repeated-ingredient corpus. The
-// acceptance bar (EXPERIMENTS.md) is ≥ 2× throughput for the cached
-// variants over `sequential`; `phrases/s` is the comparable metric.
-func BenchmarkEstimateBatch(b *testing.B) {
-	phrases := batchCorpus(b, 400)
-	variants := []struct {
-		name      string
-		cacheSize int
-		workers   int
-		warm      bool
-	}{
-		{"sequential", 0, 1, false},
-		{"parallel", 0, 0, false},
-		{"cached_warm", 1 << 15, 1, true},
-		{"parallel_cached_warm", 1 << 15, 0, true},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			e, err := core.New(usda.Seed(), nil, core.Options{CacheSize: v.cacheSize})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if v.warm {
-				e.EstimateBatchWorkers(phrases, v.workers)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out := e.EstimateBatchWorkers(phrases, v.workers)
-				if len(out) != len(phrases) {
-					b.Fatalf("len = %d, want %d", len(out), len(phrases))
-				}
-			}
-			b.ReportMetric(float64(len(phrases))*float64(b.N)/b.Elapsed().Seconds(), "phrases/s")
-		})
-	}
-}
-
 // BenchmarkEstimateRecipes measures the recipe-level pool end to end,
-// the cmd/experiments serving path.
+// the cmd/experiments serving path. parallel_cached is the nightly
+// parallel-efficiency series: at every -cpu value it runs the same
+// per-recipe worker over the shared caches, and only the number of
+// goroutines differs.
 func BenchmarkEstimateRecipes(b *testing.B) {
 	corpus, err := recipedb.Generate(recipedb.Config{NumRecipes: 300, Seed: 42})
 	if err != nil {

@@ -2,7 +2,7 @@
 // -bench` runs:
 //
 //	benchgate -old old.txt -new new.txt [-max-slowdown 0.10] [-filter Match,Rank]
-//	          [-eff-filter EstimateBatch] [-max-eff-drop 0.10]
+//	          [-eff-filter EstimateRecipes/parallel_cached] [-max-eff-drop 0.10]
 //
 // It exits nonzero if any benchmark present in both runs got more than
 // -max-slowdown worse in ns/op, or increased at all in allocs/op (the

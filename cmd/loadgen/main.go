@@ -19,7 +19,7 @@
 // -zipf skews the interactive workers' phrase/recipe popularity with
 // a Zipf(s) distribution (rank 0 hottest) instead of a uniform draw —
 // the head-heavy shape real recipe traffic has, and the workload the
-// TinyLFU admission policy (-cache-policy on the server) is built for.
+// server's TinyLFU cache admission is built for.
 //
 // Usage:
 //
@@ -113,9 +113,9 @@ func main() {
 		// -cold salts the wire copy only: every bulk phrase gets a
 		// globally unique (out-of-vocabulary) trailing token, so no two
 		// lines share a normalized token stream and every single phrase
-		// misses the phrase cache, the slot L1s, and the flight layer —
-		// the matcher pays full ranking cost for the whole corpus. The
-		// interactive mix and samples keep the unsalted phrases.
+		// misses the phrase cache — the matcher pays full ranking cost
+		// for the whole corpus. The interactive mix and samples keep the
+		// unsalted phrases.
 		wire := line
 		if *cold {
 			salted := make([]string, len(line.Ingredients))

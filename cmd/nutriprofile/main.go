@@ -11,7 +11,8 @@
 // Each argument (or stdin line) is one ingredient phrase; -file parses a
 // full plain-text recipe (title, servings, ingredient and instruction
 // sections). The tool prints the per-ingredient mapping trace and the
-// total and per-serving nutrient profiles.
+// total and per-serving nutrient profiles. A single recipe's lines are
+// estimated in order on one goroutine.
 //
 // -batch switches to corpus mode: every argument is a plain-text recipe
 // file, estimated concurrently on a -workers-sized pool sharing one
@@ -25,12 +26,12 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"nutriprofile/internal/core"
-	"nutriprofile/internal/memo"
 	"nutriprofile/internal/recipedb"
 	"nutriprofile/internal/report"
 	"nutriprofile/internal/usda"
@@ -45,22 +46,15 @@ func main() {
 	applyYield := flag.Bool("yield", false, "apply the cooking-yield correction (method from the recipe text)")
 	fuzzy := flag.Bool("fuzzy", false, "enable typo-tolerant matching")
 	batch := flag.Bool("batch", false, "treat every argument as a recipe file and estimate them concurrently")
-	workers := flag.Int("workers", 0, "worker pool size for -batch and ingredient estimation (default: one per CPU)")
+	workers := flag.Int("workers", 0, "recipe worker pool size for -batch (default: one per CPU)")
 	cacheSize := flag.Int("cache", 8192, "memoization cache entries (phrase + match level); 0 disables")
-	cachePolicy := flag.String("cache-policy", "tinylfu", "memo cache admission policy: lru or tinylfu")
 	stats := flag.Bool("stats", false, "print memoization-cache and matcher-engine statistics after estimation")
 	flag.Parse()
-
-	policy, err := memo.ParsePolicy(*cachePolicy)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nutriprofile: %v\n", err)
-		os.Exit(2)
-	}
 
 	phrases := flag.Args()
 	method := yield.None
 	if *batch {
-		runBatch(flag.Args(), *regional, *fuzzy, *applyYield, *verbose, *stats, *workers, *cacheSize, policy)
+		runBatch(flag.Args(), *regional, *fuzzy, *applyYield, *verbose, *stats, *workers, *cacheSize)
 		return
 	}
 	if *file != "" {
@@ -100,11 +94,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	e := newEstimator(*regional, *fuzzy, *cacheSize, policy)
+	e := newEstimator(*regional, *fuzzy, *cacheSize)
 	if !*applyYield {
 		method = yield.None
 	}
-	res, err := e.EstimateRecipeCookedConcurrent(phrases, *servings, method, *workers)
+	res, err := e.EstimateRecipe(context.Background(), core.RecipeInput{Phrases: phrases, Servings: *servings, Method: method})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nutriprofile: %v\n", err)
 		os.Exit(1)
@@ -154,10 +148,8 @@ func printStats(e *core.Estimator) {
 		ps.Hits, ps.Misses, 100*ps.HitRate(), ps.Evictions, ps.Entries, ps.Policy)
 	fmt.Printf("match cache:   %d hits / %d misses (%.0f%% hit rate), %d evictions, %d entries [%s]\n",
 		ms.Hits, ms.Misses, 100*ms.HitRate(), ms.Evictions, ms.Entries, ms.Policy)
-	if ps.Policy == "tinylfu" {
-		fmt.Printf("admission:     phrase %d admitted / %d rejected, match %d admitted / %d rejected, %d sketch resets\n",
-			ps.Admissions, ps.Rejections, ms.Admissions, ms.Rejections, ps.SketchResets+ms.SketchResets)
-	}
+	fmt.Printf("admission:     phrase %d admitted / %d rejected, match %d admitted / %d rejected, %d sketch resets\n",
+		ps.Admissions, ps.Rejections, ms.Admissions, ms.Rejections, ps.SketchResets+ms.SketchResets)
 	st := e.MatcherStats()
 	fmt.Printf("matcher index: %d docs, %d-term vocabulary, %d posting lists, %d postings\n",
 		st.Docs, st.VocabSize, st.PostingLists, st.PostingEntries)
@@ -169,12 +161,12 @@ func printStats(e *core.Estimator) {
 }
 
 // newEstimator builds the shared estimator from the CLI switches.
-func newEstimator(regional, fuzzy bool, cacheSize int, policy memo.Policy) *core.Estimator {
+func newEstimator(regional, fuzzy bool, cacheSize int) *core.Estimator {
 	db := usda.Seed()
 	if regional {
 		db = usda.WithRegional()
 	}
-	e, err := core.New(db, nil, core.Options{FuzzyMatch: fuzzy, CacheSize: cacheSize, CachePolicy: policy})
+	e, err := core.New(db, nil, core.Options{FuzzyMatch: fuzzy, CacheSize: cacheSize})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nutriprofile: %v\n", err)
 		os.Exit(1)
@@ -185,7 +177,7 @@ func newEstimator(regional, fuzzy bool, cacheSize int, policy memo.Policy) *core
 // runBatch is corpus mode: each arg is a recipe file; all recipes are
 // estimated concurrently on one worker pool sharing one memoized
 // estimator, and summarized one line per recipe in argument order.
-func runBatch(files []string, regional, fuzzy, applyYield, verbose, stats bool, workers, cacheSize int, policy memo.Policy) {
+func runBatch(files []string, regional, fuzzy, applyYield, verbose, stats bool, workers, cacheSize int) {
 	if len(files) == 0 {
 		fmt.Fprintln(os.Stderr, "nutriprofile: -batch requires recipe-file arguments")
 		os.Exit(2)
@@ -220,7 +212,7 @@ func runBatch(files []string, regional, fuzzy, applyYield, verbose, stats bool, 
 		inputs[i] = core.RecipeInput{Phrases: rec.Phrases(), Servings: servings, Method: method}
 	}
 
-	e := newEstimator(regional, fuzzy, cacheSize, policy)
+	e := newEstimator(regional, fuzzy, cacheSize)
 	outcomes := e.EstimateRecipes(inputs, workers)
 
 	tb := report.NewTable("Recipe", "Title", "Mapped", "Total kcal", "kcal/serving")

@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	nutriserve -addr :8080 -cache 8192 -workers 0 -max-in-flight 64
+//	nutriserve -addr :8080 -cache 8192 -max-in-flight 64
 package main
 
 import (
@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"nutriprofile/internal/core"
-	"nutriprofile/internal/memo"
 	"nutriprofile/internal/server"
 	"nutriprofile/internal/usda"
 	"nutriprofile/internal/usda/bake"
@@ -51,13 +50,10 @@ func main() {
 	maxBody := flag.Int64("max-body", 1<<20, "request body size limit in bytes")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain window for in-flight requests")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429) responses")
-	workers := flag.Int("workers", 0, "ingredient worker pool per recipe (0: one per CPU)")
 	batchWindow := flag.Int("batch-window", 0, "NDJSON lines per /v1/batch pipeline window (0: default 64)")
 	batchWorkers := flag.Int("batch-workers", 0, "estimator workers per /v1/batch window (0: half the CPUs)")
 	maxBulkStreams := flag.Int("max-bulk-streams", 0, "concurrently open /v1/batch streams before shedding (0: max-in-flight/4)")
 	cacheSize := flag.Int("cache", 8192, "memoization cache entries (phrase + match level); 0 disables")
-	cachePolicy := flag.String("cache-policy", "tinylfu", "memo cache admission policy: lru or tinylfu")
-	coalesce := flag.Bool("coalesce", true, "coalesce concurrent estimates of the same phrase onto one pipeline pass (no effect with -cache 0)")
 	regional := flag.Bool("regional", false, "use the merged SR+FAO composition table")
 	dbImage := flag.String("db", "", "serve from a baked DB image (cmd/dbbake); enables POST /admin/reload")
 	fuzzy := flag.Bool("fuzzy", false, "enable typo-tolerant matching")
@@ -65,12 +61,11 @@ func main() {
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	flag.Parse()
 
-	policy, err := memo.ParsePolicy(*cachePolicy)
-	if err != nil {
-		log.Fatalf("nutriserve: %v", err)
-	}
-	opts := core.Options{FuzzyMatch: *fuzzy, CacheSize: *cacheSize, DisableCoalescing: !*coalesce, CachePolicy: policy}
-	var est *core.Estimator
+	opts := core.Options{FuzzyMatch: *fuzzy, CacheSize: *cacheSize}
+	var (
+		est *core.Estimator
+		err error
+	)
 	switch {
 	case *dbImage != "":
 		// Baked image: single-read load, index adopted zero-copy, and the
@@ -101,7 +96,6 @@ func main() {
 		MaxInFlight:    *maxInFlight,
 		RequestTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
-		Workers:        *workers,
 		BatchWindow:    *batchWindow,
 		BatchWorkers:   *batchWorkers,
 		MaxBulkStreams: *maxBulkStreams,

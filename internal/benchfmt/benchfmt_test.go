@@ -14,7 +14,7 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkMatchSeed    	 1000000	      1075 ns/op	       0 B/op	       0 allocs/op
 BenchmarkMatchName-8  	  703645	      1484 ns/op	       0 B/op	       0 allocs/op
 BenchmarkRank         	  869994	      1423 ns/op	       0 B/op	       0 allocs/op
-BenchmarkEstimateBatch/sequential-8         	     100	  11169870 ns/op	     44706 phrases/s	  269691 allocs/op
+BenchmarkEstimateRecipes/sequential-8         	     100	  11169870 ns/op	     44706 phrases/s	  269691 allocs/op
 BenchmarkNoMem 	  500	   2000 ns/op
 PASS
 ok  	nutriprofile/internal/match	7.419s
@@ -33,7 +33,7 @@ func TestParse(t *testing.T) {
 		e.NsPerOp != 1484 || e.BytesPerOp != 0 || e.AllocsPerOp != 0 {
 		t.Errorf("MatchName parsed wrong: %+v", e)
 	}
-	if b := entries[3]; b.Name != "BenchmarkEstimateBatch/sequential" ||
+	if b := entries[3]; b.Name != "BenchmarkEstimateRecipes/sequential" ||
 		b.Extra["phrases/s"] != 44706 || b.AllocsPerOp != 269691 {
 		t.Errorf("batch entry parsed wrong: %+v", b)
 	}
@@ -79,24 +79,24 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 // series with its -N suffix.
 func TestGateProcs(t *testing.T) {
 	old := []Entry{
-		{Name: "BenchmarkEstimateBatch/parallel", Procs: 1, NsPerOp: 4000, AllocsPerOp: 10},
-		{Name: "BenchmarkEstimateBatch/parallel", Procs: 4, NsPerOp: 1000, AllocsPerOp: 10},
+		{Name: "BenchmarkEstimateRecipes/parallel_cached", Procs: 1, NsPerOp: 4000, AllocsPerOp: 10},
+		{Name: "BenchmarkEstimateRecipes/parallel_cached", Procs: 4, NsPerOp: 1000, AllocsPerOp: 10},
 	}
 	// The 4-proc series regresses; the 1-proc series is fine even though
 	// its ns/op sits far above the 4-proc baseline.
 	regs := Gate(old, []Entry{
-		{Name: "BenchmarkEstimateBatch/parallel", Procs: 1, NsPerOp: 4100, AllocsPerOp: 10},
-		{Name: "BenchmarkEstimateBatch/parallel", Procs: 4, NsPerOp: 2000, AllocsPerOp: 10},
+		{Name: "BenchmarkEstimateRecipes/parallel_cached", Procs: 1, NsPerOp: 4100, AllocsPerOp: 10},
+		{Name: "BenchmarkEstimateRecipes/parallel_cached", Procs: 4, NsPerOp: 2000, AllocsPerOp: 10},
 	}, 0.10)
 	if len(regs) != 1 {
 		t.Fatalf("got %d regressions (%v), want 1", len(regs), regs)
 	}
-	if regs[0].Name != "BenchmarkEstimateBatch/parallel-4" {
+	if regs[0].Name != "BenchmarkEstimateRecipes/parallel_cached-4" {
 		t.Errorf("regression name = %q, want the -4 series", regs[0].Name)
 	}
 	// A series present on only one side is ignored, whatever its procs.
 	if regs := Gate(old, []Entry{
-		{Name: "BenchmarkEstimateBatch/parallel", Procs: 8, NsPerOp: 9999, AllocsPerOp: 99},
+		{Name: "BenchmarkEstimateRecipes/parallel_cached", Procs: 8, NsPerOp: 9999, AllocsPerOp: 99},
 	}, 0.10); len(regs) != 0 {
 		t.Errorf("unmatched procs should not gate: %v", regs)
 	}

@@ -12,9 +12,9 @@ import (
 // 4, sublinear at 8) plus a series with no 1-proc baseline and a
 // single-proc-only series, which must both be skipped.
 const effSample = `goos: linux
-BenchmarkEstimateBatch/parallel     	     100	   8000000 ns/op	  50000 phrases/s
-BenchmarkEstimateBatch/parallel-4   	     400	   2000000 ns/op	 200000 phrases/s
-BenchmarkEstimateBatch/parallel-8   	     500	   1600000 ns/op	 250000 phrases/s
+BenchmarkEstimateRecipes/parallel_cached     	     100	   8000000 ns/op	  50000 phrases/s
+BenchmarkEstimateRecipes/parallel_cached-4   	     400	   2000000 ns/op	 200000 phrases/s
+BenchmarkEstimateRecipes/parallel_cached-8   	     500	   1600000 ns/op	 250000 phrases/s
 BenchmarkNoBaseline-4               	     100	   1000000 ns/op
 BenchmarkSoloSeq                    	     100	   1000000 ns/op
 PASS
@@ -35,7 +35,7 @@ func TestParallelEfficiency(t *testing.T) {
 		t.Fatalf("got %d efficiencies, want 2 (no-baseline and solo series skipped): %+v", len(effs), effs)
 	}
 	// eff(4) = 8e6 / (4 × 2e6) = 1.0; eff(8) = 8e6 / (8 × 1.6e6) = 0.625.
-	if e := effs[0]; e.Name != "BenchmarkEstimateBatch/parallel" || e.Procs != 4 || math.Abs(e.Value-1.0) > 1e-9 {
+	if e := effs[0]; e.Name != "BenchmarkEstimateRecipes/parallel_cached" || e.Procs != 4 || math.Abs(e.Value-1.0) > 1e-9 {
 		t.Errorf("eff(4) = %+v, want 1.0", e)
 	}
 	if e := effs[1]; e.Procs != 8 || math.Abs(e.Value-0.625) > 1e-9 {
@@ -46,7 +46,7 @@ func TestParallelEfficiency(t *testing.T) {
 func TestParallelEfficiencyLastEntryWins(t *testing.T) {
 	// A rerun of the same series later in the file replaces the first
 	// measurement, mirroring Gate's map-build semantics.
-	s := effSample + "BenchmarkEstimateBatch/parallel-4 200 4000000 ns/op\n"
+	s := effSample + "BenchmarkEstimateRecipes/parallel_cached-4 200 4000000 ns/op\n"
 	effs := ParallelEfficiency(parseEff(t, s))
 	if e := effs[0]; e.Procs != 4 || math.Abs(e.Value-0.5) > 1e-9 {
 		t.Errorf("eff(4) after rerun = %+v, want 0.5 (8e6 / (4 × 4e6))", e)
@@ -73,7 +73,7 @@ func TestGateEfficiencyFail(t *testing.T) {
 	if len(regs) != 1 {
 		t.Fatalf("got %d regressions, want 1: %+v", len(regs), regs)
 	}
-	if regs[0].Name != "BenchmarkEstimateBatch/parallel-4" {
+	if regs[0].Name != "BenchmarkEstimateRecipes/parallel_cached-4" {
 		t.Errorf("regression names %q, want the -4 series", regs[0].Name)
 	}
 	if !strings.Contains(regs[0].Reason, "parallel efficiency") {
@@ -86,7 +86,7 @@ func TestGateEfficiencyIgnoresOneSidedSeries(t *testing.T) {
 	// The candidate run lost its 1-proc baseline: no efficiency can be
 	// derived, so nothing gates — like Gate's added/removed rule.
 	s := strings.Replace(effSample,
-		"BenchmarkEstimateBatch/parallel     	     100	   8000000 ns/op	  50000 phrases/s\n", "", 1)
+		"BenchmarkEstimateRecipes/parallel_cached     	     100	   8000000 ns/op	  50000 phrases/s\n", "", 1)
 	if regs := GateEfficiency(old, parseEff(t, s), 0.10); len(regs) != 0 {
 		t.Fatalf("series without baseline should be ignored: %+v", regs)
 	}

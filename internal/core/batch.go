@@ -1,27 +1,18 @@
 package core
 
-// Concurrent batch estimation. A single Estimator is shared by a
-// bounded worker pool; output is always input-ordered and byte-identical
-// to the sequential path, so callers can parallelize corpus-scale runs
-// without giving up determinism.
+// Recipe-level estimation. One recipe is the unit of work: its lines
+// are estimated in order on one goroutine, and parallelism exists only
+// across recipes (EstimateRecipes, EstimateRecipesInto) and across the
+// serving layer's concurrent requests. Output is always input-ordered
+// and byte-identical at every worker count, so callers can parallelize
+// corpus-scale runs without giving up determinism. DESIGN.md §12
+// records why lines within a recipe are not dispatched in parallel.
 //
-// Two dispatch strategies exist (see shard.go for the why):
-//
-//   - Sharded (the default for parallel cached batches): phrases are
-//     hash-partitioned onto slots, workers own disjoint slot subsets,
-//     and repeats are served from per-slot L1 caches with no shared
-//     writes on the hot path.
-//
-//   - Work-stealing (sequential batches, uncached estimators, and
-//     recipe-corpus batches): indices are handed out by an atomic
-//     counter, which balances skewed per-item costs but funnels every
-//     repeat through the shared L2.
-//
-// Both strategies run on estimator-owned worker environments (scratch +
-// pinned match session) rather than sync.Pool scratches: pool per-P
-// caches drain under GC and goroutine migration, and every drained
-// checkout re-warms a cold scratch — the measured allocs/op inflation
-// of the oversubscribed parallel path.
+// Workers run on estimator-owned environments (scratch + pinned match
+// session) rather than sync.Pool scratches: pool per-P caches drain
+// under GC and goroutine migration, and every drained checkout re-warms
+// a cold scratch — the measured allocs/op inflation of the
+// oversubscribed parallel path.
 
 import (
 	"context"
@@ -33,8 +24,126 @@ import (
 
 	"nutriprofile/internal/match"
 	"nutriprofile/internal/memo"
+	"nutriprofile/internal/metrics"
+	"nutriprofile/internal/pipeline"
 	"nutriprofile/internal/yield"
 )
+
+const (
+	// maxFreeEnvs bounds the worker-environment free list: more
+	// environments than this can exist transiently (concurrent batches
+	// each holding several), but only this many are retained.
+	maxFreeEnvs = 64
+
+	// statStripes is the stripe count of the batched stats aggregates.
+	statStripes = 16
+)
+
+// env is one worker environment: the per-goroutine NLP scratch arena
+// plus a match session pinned to one matcher (its own scoring arena).
+// Environments are checked out once per worker per batch and returned
+// warm; m records which matcher the session belongs to so a checkout
+// after a snapshot swap re-pins instead of scoring against the retired
+// index.
+type env struct {
+	sc   *pipeline.Scratch
+	sess *match.Session
+	m    *match.Matcher
+}
+
+// worker is the per-batch-worker state: its environment and the
+// batch-local phrase count that flushes on release.
+type worker struct {
+	env     *env
+	phrases uint64 // phrases estimated by this worker this batch
+}
+
+// envPool is the Estimator's worker-environment free list and the
+// batched-flush stat aggregates; embedded by value.
+type envPool struct {
+	envMu    sync.Mutex
+	freeEnvs []*env
+	envsMade uint64 // lifetime environments created, under envMu
+
+	// Workers accumulate locally and Add once per batch, striped so
+	// concurrent flushes don't share lines.
+	phrasesDone *metrics.Striped
+	flushes     *metrics.Striped
+}
+
+func (p *envPool) init() {
+	p.phrasesDone = metrics.NewStriped(statStripes)
+	p.flushes = metrics.NewStriped(statStripes)
+}
+
+// ShardStats is the observability snapshot of the batch worker layer
+// (nutriserve's GET /v1/stats exposes it as "shard").
+type ShardStats struct {
+	Phrases       uint64 `json:"phrases"`        // phrases estimated through batch workers
+	WorkerFlushes uint64 `json:"worker_flushes"` // per-worker batched stat flushes
+	Envs          uint64 `json:"envs"`           // worker environments ever created
+}
+
+// ShardStats reports the batch worker layer's counters. Totals are
+// exact once in-flight batches drain (each worker flushes exactly once).
+func (e *Estimator) ShardStats() ShardStats {
+	e.envMu.Lock()
+	envs := e.envsMade
+	e.envMu.Unlock()
+	return ShardStats{
+		Phrases:       e.phrasesDone.Sum(),
+		WorkerFlushes: e.flushes.Sum(),
+		Envs:          envs,
+	}
+}
+
+// getEnv checks a worker environment out of the estimator-owned free
+// list, creating one when the list is empty. LIFO: the most recently
+// returned (warmest) environment is reused first. snap is the batch's
+// pinned snapshot; an environment whose session was pinned to a
+// now-retired matcher is re-pinned before reuse, so a worker never
+// scores against a different index than the snapshot it estimates with.
+func (e *Estimator) getEnv(snap *Snapshot) *env {
+	e.envMu.Lock()
+	if n := len(e.freeEnvs); n > 0 {
+		v := e.freeEnvs[n-1]
+		e.freeEnvs[n-1] = nil
+		e.freeEnvs = e.freeEnvs[:n-1]
+		e.envMu.Unlock()
+		if v.m != snap.matcher {
+			v.sess.Close()
+			v.sess = snap.matcher.NewSession()
+			v.m = snap.matcher
+		}
+		return v
+	}
+	e.envsMade++
+	e.envMu.Unlock()
+	return &env{sc: new(pipeline.Scratch), sess: snap.matcher.NewSession(), m: snap.matcher}
+}
+
+// putEnv returns an environment; beyond maxFreeEnvs it is dismantled
+// (the session's arena goes back to the matcher pool) and dropped.
+func (e *Estimator) putEnv(v *env) {
+	e.envMu.Lock()
+	if len(e.freeEnvs) < maxFreeEnvs {
+		e.freeEnvs = append(e.freeEnvs, v)
+		e.envMu.Unlock()
+		return
+	}
+	e.envMu.Unlock()
+	v.sess.Close()
+}
+
+// flushWorker performs the batched stats flush: one striped Add per
+// counter per worker per batch, then returns the environment.
+func (e *Estimator) flushWorker(w *worker, stripe int) {
+	if w.phrases != 0 {
+		e.phrasesDone.Add(stripe, w.phrases)
+	}
+	e.flushes.Add(stripe, 1)
+	e.putEnv(w.env)
+}
 
 // normWorkers clamps a requested worker count: <= 0 selects
 // GOMAXPROCS, and the pool never exceeds the number of work items.
@@ -51,21 +160,13 @@ func normWorkers(workers, items int) int {
 	return workers
 }
 
-// forEachIndex runs fn(i, w) for i in [0, n) on a bounded worker pool.
-// Indices are handed out by an atomic counter, so the pool stays busy
-// even when per-item cost is skewed (cache hits vs full matches). Each
-// worker checks one environment out of the estimator's free list —
+// forEachIndexCtx runs fn(i, w) for i in [0, n) on a bounded worker
+// pool. Indices are handed out by an atomic counter, so the pool stays
+// busy even when per-item cost is skewed (cache hits vs full matches).
+// Each worker checks one environment out of the estimator's free list —
 // pinned to snap's matcher — and reuses it for every index it claims,
-// flushing its stats once on exit.
-func (e *Estimator) forEachIndex(snap *Snapshot, n, workers int, fn func(int, *worker)) {
-	e.forEachIndexCtx(context.Background(), snap, n, workers, fn)
-}
-
-// forEachIndexCtx is forEachIndex with cancellation: once ctx is done,
-// workers stop claiming new indices and the call returns ctx's error.
-// Items already in flight run to completion (per-item work is
-// microseconds; there is no partial-item state to unwind), so the
-// cancellation latency is one item per worker.
+// flushing its stats once on exit. Once ctx is done, workers stop
+// claiming new indices and the call returns ctx's error.
 func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, workers int, fn func(int, *worker)) error {
 	workers = normWorkers(workers, n)
 	done := ctx.Done()
@@ -108,105 +209,13 @@ func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, work
 	return ctx.Err()
 }
 
-// batchInto estimates every phrase into out[i]. Parallel batches on a
-// caching estimator take the sharded path (phrase-hash partition,
-// per-slot L1s, zero shared writes on repeats); everything else runs on
-// the work-stealing pool. Results are identical either way.
-func (e *Estimator) batchInto(ctx context.Context, phrases []string, workers int, out []IngredientResult) error {
-	// One pin per batch: every phrase in the batch — and every worker's
-	// match session — resolves against the same snapshot, even if a
-	// reload lands mid-batch.
-	v := e.pin()
-	workers = normWorkers(workers, len(phrases))
-	if workers > 1 && e.phraseCache != nil {
-		if workers > numSlots {
-			workers = numSlots
-		}
-		return e.estimateShardedCtx(ctx, v, phrases, workers, out)
-	}
-	return e.forEachIndexCtx(ctx, v.snap, len(phrases), workers, func(i int, w *worker) {
-		// nil slot: no L1 on the work-stealing path (indices are claimed
-		// dynamically, so no worker owns a stable phrase subset), but the
-		// per-worker phrase counting still applies.
-		out[i] = e.estimateSlot(v, phrases[i], w, nil)
-	})
-}
-
-// EstimateBatch estimates every phrase concurrently with one worker per
-// CPU, returning results in input order. Equivalent to (but faster
-// than) calling EstimateIngredient in a loop.
-func (e *Estimator) EstimateBatch(phrases []string) []IngredientResult {
-	return e.EstimateBatchWorkers(phrases, 0)
-}
-
-// EstimateBatchWorkers is EstimateBatch with an explicit worker count:
-// workers <= 0 selects GOMAXPROCS, workers == 1 runs sequentially on
-// the calling goroutine. The pool is bounded — at most `workers`
-// goroutines exist at any time regardless of batch size.
-func (e *Estimator) EstimateBatchWorkers(phrases []string, workers int) []IngredientResult {
-	if len(phrases) == 0 {
-		return nil
-	}
-	out := make([]IngredientResult, len(phrases))
-	e.batchInto(context.Background(), phrases, workers, out)
-	return out
-}
-
-// EstimateBatchContext is EstimateBatchWorkers with cancellation: when
-// ctx is cancelled (or its deadline passes) mid-batch, workers stop
-// claiming new phrases and the call returns ctx's error with a nil
-// slice. Results are only valid when err == nil — a cancelled batch has
-// estimated an unpredictable prefix of the input. This is the entry
-// point the serving layer uses so an abandoned HTTP request stops
-// consuming pipeline workers.
-func (e *Estimator) EstimateBatchContext(ctx context.Context, phrases []string, workers int) ([]IngredientResult, error) {
-	if len(phrases) == 0 {
-		return nil, nil
-	}
-	out := make([]IngredientResult, len(phrases))
-	if err := e.batchInto(ctx, phrases, workers, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// EstimateRecipeContext is EstimateRecipeConcurrent with cancellation
-// propagated into the ingredient worker pool (see EstimateBatchContext).
-// The returned error is ctx.Err() on cancellation, or the recipe
-// validation error; the result is identical to the sequential path when
-// err == nil.
-func (e *Estimator) EstimateRecipeContext(ctx context.Context, phrases []string, servings, workers int) (RecipeResult, error) {
-	if len(phrases) == 0 {
-		return RecipeResult{}, errors.New("core: recipe has no ingredients")
-	}
-	if servings <= 0 {
-		return RecipeResult{}, fmt.Errorf("core: invalid servings %d", servings)
-	}
-	ingredients, err := e.EstimateBatchContext(ctx, phrases, workers)
-	if err != nil {
-		return RecipeResult{}, err
-	}
-	return aggregateRecipe(ingredients, servings), nil
-}
-
-// EstimateRecipeCookedContext is EstimateRecipeContext followed by the
-// cooking-yield correction of the given method (see EstimateRecipeCooked).
-func (e *Estimator) EstimateRecipeCookedContext(ctx context.Context, phrases []string, servings int, m yield.Method, workers int) (RecipeResult, error) {
-	out, err := e.EstimateRecipeContext(ctx, phrases, servings, workers)
-	if err != nil {
-		return out, err
-	}
-	out.Total = yield.Apply(out.Total, m)
-	out.PerServing = yield.Apply(out.PerServing, m)
-	return out, nil
-}
-
-// RecipeInput is one recipe for batch estimation.
+// RecipeInput is one recipe to estimate.
 type RecipeInput struct {
 	Phrases  []string
 	Servings int
 	// Method, when not yield.None, applies the cooking-yield correction
-	// to the recipe's totals (as EstimateRecipeCooked does).
+	// (the Bognár-style adjustment the paper cites as the accuracy gap
+	// of the raw-ingredient-sum approximation) to the recipe's totals.
 	Method yield.Method
 }
 
@@ -218,21 +227,28 @@ type RecipeOutcome struct {
 	Err    error
 }
 
-// estimateRecipeWorker runs one recipe sequentially on an already-held
-// worker environment: EstimateRecipes parallelizes across recipes, so
-// nesting another pool per recipe would only multiply goroutines. Slot
-// L1s are skipped (nil slot) — recipe workers don't own slots; repeats
-// still hit the shared L2. ingredients is the caller-provided result
-// destination, len(r.Phrases) long.
-func (e *Estimator) estimateRecipeWorker(v view, r RecipeInput, w *worker, ingredients []IngredientResult) RecipeOutcome {
+// estimateRecipeWorker estimates one recipe's lines in order on an
+// already-held worker environment. It is the only function that
+// estimates a recipe: every entry point reaches it through
+// EstimateRecipesInto. ingredients is the caller-provided result
+// destination, len(r.Phrases) long. A done ctx stops the recipe at its
+// next line with ctx's error as the outcome.
+func (e *Estimator) estimateRecipeWorker(ctx context.Context, v view, r RecipeInput, w *worker, ingredients []IngredientResult) RecipeOutcome {
 	if len(r.Phrases) == 0 {
 		return RecipeOutcome{Err: errors.New("core: recipe has no ingredients")}
 	}
 	if r.Servings <= 0 {
 		return RecipeOutcome{Err: fmt.Errorf("core: invalid servings %d", r.Servings)}
 	}
+	done := ctx.Done()
 	for i, p := range r.Phrases {
-		ingredients[i] = e.estimateSlot(v, p, w, nil)
+		select {
+		case <-done:
+			return RecipeOutcome{Err: ctx.Err()}
+		default:
+		}
+		ingredients[i] = e.estimateCached(v, p, w.env.sc, w.env.sess)
+		w.phrases++
 	}
 	res := aggregateRecipe(ingredients, r.Servings)
 	res.Total = yield.Apply(res.Total, r.Method)
@@ -240,19 +256,36 @@ func (e *Estimator) estimateRecipeWorker(v view, r RecipeInput, w *worker, ingre
 	return RecipeOutcome{Result: res}
 }
 
+// EstimateRecipe estimates one recipe's lines in order on the calling
+// goroutine and sums them, applying r.Method's cooking-yield
+// correction. The error is the recipe's validation error (no
+// ingredients, servings <= 0) or, when ctx is done before the last
+// line, ctx's error.
+func (e *Estimator) EstimateRecipe(ctx context.Context, r RecipeInput) (RecipeResult, error) {
+	out := make([]RecipeOutcome, 1)
+	if err := e.EstimateRecipesInto(ctx, []RecipeInput{r}, 1, out, make([]IngredientResult, len(r.Phrases))); err != nil {
+		return RecipeResult{}, err
+	}
+	return out[0].Result, out[0].Err
+}
+
 // EstimateRecipes estimates a corpus of recipes on a bounded worker
-// pool sharing this Estimator. Outcomes are input-ordered and
-// byte-identical to calling EstimateRecipeCooked sequentially; workers
-// <= 0 selects GOMAXPROCS.
+// pool sharing this Estimator, one recipe per worker at a time.
+// Outcomes are input-ordered and byte-identical to calling
+// EstimateRecipe on each recipe in turn; workers <= 0 selects
+// GOMAXPROCS.
 func (e *Estimator) EstimateRecipes(recipes []RecipeInput, workers int) []RecipeOutcome {
 	if len(recipes) == 0 {
 		return nil
 	}
+	total := 0
+	for i := range recipes {
+		total += len(recipes[i].Phrases)
+	}
 	out := make([]RecipeOutcome, len(recipes))
-	v := e.pin()
-	e.forEachIndex(v.snap, len(recipes), workers, func(i int, w *worker) {
-		out[i] = e.estimateRecipeWorker(v, recipes[i], w, make([]IngredientResult, len(recipes[i].Phrases)))
-	})
+	// Background never ends and the buffers are sized above, so this
+	// cannot fail.
+	_ = e.EstimateRecipesInto(context.Background(), recipes, workers, out, make([]IngredientResult, total))
 	return out
 }
 
@@ -264,8 +297,8 @@ func (e *Estimator) EstimateRecipes(recipes []RecipeInput, workers int) []Recipe
 // hold at least the window's total phrase count — so a warm window
 // performs no heap allocation in this layer. Outcomes (including their
 // Ingredients slices) alias arena and are valid until the caller reuses
-// it. Cancellation follows EstimateBatchContext: on a done ctx workers
-// stop claiming recipes, the error is ctx.Err(), and out holds an
+// it. On a done ctx workers stop claiming recipes, a recipe in progress
+// stops at its next line, the error is ctx.Err(), and out holds an
 // unpredictable prefix.
 func (e *Estimator) EstimateRecipesInto(ctx context.Context, recipes []RecipeInput, workers int, out []RecipeOutcome, arena []IngredientResult) error {
 	if len(recipes) == 0 {
@@ -292,6 +325,9 @@ func (e *Estimator) EstimateRecipesInto(ctx context.Context, recipes []RecipeInp
 		out[i].Result.Ingredients = arena[off : off : off+n]
 		off += n
 	}
+	// One pin per call: every recipe — and every worker's match
+	// session — resolves against the same snapshot, even if a reload
+	// lands mid-call.
 	v := e.pin()
 	if normWorkers(workers, len(recipes)) == 1 {
 		// Inline sequential loop rather than forEachIndexCtx: the closure
@@ -301,21 +337,18 @@ func (e *Estimator) EstimateRecipesInto(ctx context.Context, recipes []RecipeInp
 		// almost-zero.
 		w := worker{env: e.getEnv(v.snap)}
 		defer e.flushWorker(&w, 0)
-		done := ctx.Done()
 		for i := range recipes {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
 			dst := out[i].Result.Ingredients
-			out[i] = e.estimateRecipeWorker(v, recipes[i], &w, dst[:len(recipes[i].Phrases)])
+			out[i] = e.estimateRecipeWorker(ctx, v, recipes[i], &w, dst[:len(recipes[i].Phrases)])
+			if out[i].Err != nil && ctx.Err() != nil {
+				return ctx.Err()
+			}
 		}
 		return nil
 	}
 	return e.forEachIndexCtx(ctx, v.snap, len(recipes), workers, func(i int, w *worker) {
 		dst := out[i].Result.Ingredients
-		out[i] = e.estimateRecipeWorker(v, recipes[i], w, dst[:len(recipes[i].Phrases)])
+		out[i] = e.estimateRecipeWorker(ctx, v, recipes[i], w, dst[:len(recipes[i].Phrases)])
 	})
 }
 

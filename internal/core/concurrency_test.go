@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -28,6 +29,29 @@ func testCorpus(t *testing.T, recipes int) (*recipedb.Corpus, [][]string) {
 	return corpus, phrases
 }
 
+// recipeInputs pairs each corpus recipe's phrases with its servings.
+func recipeInputs(corpus *recipedb.Corpus, phrases [][]string) []RecipeInput {
+	inputs := make([]RecipeInput, len(phrases))
+	for i := range phrases {
+		inputs[i] = RecipeInput{Phrases: phrases[i], Servings: corpus.Recipes[i].Servings}
+	}
+	return inputs
+}
+
+// estimateLines estimates each phrase as a one-line recipe through
+// EstimateRecipes and returns the per-line results in input order.
+func estimateLines(e *Estimator, phrases []string, workers int) []IngredientResult {
+	inputs := make([]RecipeInput, len(phrases))
+	for i := range phrases {
+		inputs[i] = RecipeInput{Phrases: phrases[i : i+1], Servings: 1}
+	}
+	out := make([]IngredientResult, len(phrases))
+	for i, o := range e.EstimateRecipes(inputs, workers) {
+		out[i] = o.Result.Ingredients[0]
+	}
+	return out
+}
+
 // renderResult serializes a RecipeResult completely, so "byte-identical"
 // below means exactly that.
 func renderResult(rr RecipeResult, err error) string {
@@ -49,7 +73,7 @@ func TestSharedEstimatorStress(t *testing.T) {
 	ref.ObserveUnits(corpus.Phrases())
 	want := make([]string, len(phrases))
 	for i := range phrases {
-		rr, err := ref.EstimateRecipe(phrases[i], corpus.Recipes[i].Servings)
+		rr, err := ref.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases[i], Servings: corpus.Recipes[i].Servings})
 		want[i] = renderResult(rr, err)
 	}
 
@@ -74,7 +98,7 @@ func TestSharedEstimatorStress(t *testing.T) {
 			// hit from different positions simultaneously.
 			for k := 0; k < len(phrases); k++ {
 				i := (k + g*7) % len(phrases)
-				rr, err := shared.EstimateRecipe(phrases[i], corpus.Recipes[i].Servings)
+				rr, err := shared.EstimateRecipe(context.Background(), RecipeInput{Phrases: phrases[i], Servings: corpus.Recipes[i].Servings})
 				got[g][i] = renderResult(rr, err)
 			}
 		}()
@@ -96,16 +120,19 @@ func TestSharedEstimatorStress(t *testing.T) {
 	}
 }
 
-// TestEstimateBatchMatchesSequential checks order preservation and
-// equivalence for every worker count, cached and uncached.
-func TestEstimateBatchMatchesSequential(t *testing.T) {
-	corpus, _ := testCorpus(t, 30)
-	flat := corpus.Phrases()
+// TestRecipeLinesMatchSequential checks line order and per-line
+// equivalence with EstimateIngredient for every worker count, cached
+// and uncached.
+func TestRecipeLinesMatchSequential(t *testing.T) {
+	corpus, phrases := testCorpus(t, 30)
+	inputs := recipeInputs(corpus, phrases)
 
 	ref := NewDefault()
-	want := make([]string, len(flat))
-	for i, p := range flat {
-		want[i] = fmt.Sprintf("%+v", ref.EstimateIngredient(p))
+	want := make([][]string, len(phrases))
+	for i := range phrases {
+		for _, p := range phrases[i] {
+			want[i] = append(want[i], fmt.Sprintf("%+v", ref.EstimateIngredient(p)))
+		}
 	}
 
 	for _, cacheSize := range []int{0, 1 << 10} {
@@ -114,21 +141,22 @@ func TestEstimateBatchMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := e.EstimateBatchWorkers(flat, workers)
-			if len(got) != len(flat) {
-				t.Fatalf("cache=%d workers=%d: len=%d want %d", cacheSize, workers, len(got), len(flat))
-			}
-			for i := range got {
-				if s := fmt.Sprintf("%+v", got[i]); s != want[i] {
-					t.Fatalf("cache=%d workers=%d: result %d diverged:\n got: %s\nwant: %s",
-						cacheSize, workers, i, s, want[i])
+			for i, o := range e.EstimateRecipes(inputs, workers) {
+				if o.Err != nil {
+					t.Fatalf("cache=%d workers=%d: recipe %d: %v", cacheSize, workers, i, o.Err)
+				}
+				if len(o.Result.Ingredients) != len(want[i]) {
+					t.Fatalf("cache=%d workers=%d: recipe %d has %d lines, want %d",
+						cacheSize, workers, i, len(o.Result.Ingredients), len(want[i]))
+				}
+				for j, r := range o.Result.Ingredients {
+					if s := fmt.Sprintf("%+v", r); s != want[i][j] {
+						t.Fatalf("cache=%d workers=%d: recipe %d line %d diverged:\n got: %s\nwant: %s",
+							cacheSize, workers, i, j, s, want[i][j])
+					}
 				}
 			}
 		}
-	}
-
-	if got := NewDefault().EstimateBatch(nil); got != nil {
-		t.Fatalf("EstimateBatch(nil) = %v; want nil", got)
 	}
 }
 
@@ -150,7 +178,7 @@ func TestEstimateRecipesMatchesSequential(t *testing.T) {
 	ref := NewDefault()
 	want := make([]string, len(inputs))
 	for i, in := range inputs {
-		rr, err := ref.EstimateRecipeCooked(in.Phrases, in.Servings, in.Method)
+		rr, err := ref.EstimateRecipe(context.Background(), in)
 		want[i] = renderResult(rr, err)
 	}
 
@@ -177,8 +205,9 @@ func TestEstimateRecipesMatchesSequential(t *testing.T) {
 // the old frequency map raced on. Under -race this must be clean, and
 // afterwards the most-frequent-unit fallback must reflect the pass.
 func TestObserveUnitsConcurrentWithEstimation(t *testing.T) {
-	corpus, _ := testCorpus(t, 40)
+	corpus, phrases := testCorpus(t, 40)
 	flat := corpus.Phrases()
+	inputs := recipeInputs(corpus, phrases)
 
 	e, err := New(usda.Seed(), nil, Options{CacheSize: 1 << 12})
 	if err != nil {
@@ -190,7 +219,7 @@ func TestObserveUnitsConcurrentWithEstimation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e.EstimateBatchWorkers(flat, 2)
+			e.EstimateRecipes(inputs, 2)
 		}()
 	}
 	wg.Add(1)

@@ -6,12 +6,11 @@
 package core
 
 import (
+	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"nutriprofile/internal/flight"
 	"nutriprofile/internal/match"
 	"nutriprofile/internal/memo"
 	"nutriprofile/internal/ner"
@@ -19,7 +18,6 @@ import (
 	"nutriprofile/internal/pipeline"
 	"nutriprofile/internal/units"
 	"nutriprofile/internal/usda"
-	"nutriprofile/internal/yield"
 )
 
 // UnitOrigin records how the pipeline obtained an ingredient's unit.
@@ -105,22 +103,10 @@ type Options struct {
 	// for the "salt"/"olive oil" phrases that dominate real corpora.
 	// 0 (the zero value) disables both caches. ObserveUnits invalidates
 	// the phrase cache, since it changes the most-frequent-unit state.
+	// Both caches admit by frequency (W-TinyLFU, memo/tinylfu.go,
+	// DESIGN.md §15), so skewed production traffic keeps its hot head
+	// resident through cold bulk scans.
 	CacheSize int
-	// CachePolicy selects the memo caches' eviction policy: PolicyLRU
-	// (the zero value) or PolicyTinyLFU, which adds frequency-gated
-	// admission so skewed production traffic keeps its hot head
-	// resident through cold bulk scans (memo/tinylfu.go, DESIGN.md
-	// §15). The policy can never change estimation results — only
-	// which phrases stay cached — so it is a pure performance
-	// ablation, threaded to the CLIs as -cache-policy.
-	CachePolicy memo.Policy
-	// DisableCoalescing turns off single-flight deduplication of
-	// concurrent cache misses (see internal/flight). On by default when
-	// caching is enabled; coalescing is a no-op for sequential callers,
-	// so the switch exists for ablation benchmarks and as an escape
-	// hatch. Meaningless when CacheSize == 0 — with no cache to land
-	// results in, deduplicating the computation would not be observable.
-	DisableCoalescing bool
 	// Ablation switches.
 	DisableConversion   bool
 	DisablePhraseSearch bool
@@ -137,8 +123,8 @@ func (o *Options) fill() {
 
 // Estimator is the end-to-end pipeline. Construct with New. A single
 // Estimator is safe for concurrent use by any number of goroutines
-// (EstimateIngredient, EstimateRecipe, EstimateBatch, EstimateRecipes,
-// and even ObserveUnits may be called concurrently), provided the
+// (EstimateIngredient, EstimateRecipe, EstimateRecipes, and even
+// ObserveUnits may be called concurrently), provided the
 // Tagger is itself concurrency-safe — the built-in RuleTagger and a
 // trained ner.Model both are, since Tag only reads model state.
 type Estimator struct {
@@ -165,15 +151,9 @@ type Estimator struct {
 	phraseCache *memo.Cache[IngredientResult]
 	matchCache  *memo.Cache[matchHit]
 
-	// flights coalesces concurrent phrase-cache misses on the same
-	// normalized token stream: one pipeline pass runs, every waiter
-	// shares its result. Sits below the cache — see estimateCached.
-	flights flight.Group[IngredientResult]
-
-	// shardState is the per-core sharded batch machinery: worker
-	// environments, the phrase-hash slot partition with per-slot L1
-	// caches, and the striped batched-flush stat aggregates (shard.go).
-	shardState
+	// envPool holds the batch workers' environments and their striped
+	// batched-flush stat aggregates (batch.go).
+	envPool
 }
 
 // matchHit is the memoized outcome of one description-match query.
@@ -219,10 +199,10 @@ func newEstimator(db *usda.DB, m *match.Matcher, tagger ner.Tagger, opts Options
 	}
 	e.snap.Store(&Snapshot{db: db, matcher: m, version: 1, gen: 0, source: source})
 	if opts.CacheSize > 0 {
-		e.phraseCache = memo.NewPolicy[IngredientResult](opts.CacheSize, memo.DefaultShards, opts.CachePolicy)
-		e.matchCache = memo.NewPolicy[matchHit](opts.CacheSize, memo.DefaultShards, opts.CachePolicy)
+		e.phraseCache = memo.NewPolicy[IngredientResult](opts.CacheSize, memo.DefaultShards, memo.PolicyTinyLFU)
+		e.matchCache = memo.NewPolicy[matchHit](opts.CacheSize, memo.DefaultShards, memo.PolicyTinyLFU)
 	}
-	e.shardState.init()
+	e.envPool.init()
 	return e, nil
 }
 
@@ -280,17 +260,15 @@ type RecipeResult struct {
 func (e *Estimator) EstimateIngredient(phrase string) IngredientResult {
 	sc := pipeline.Get()
 	defer pipeline.Put(sc)
-	r, _ := e.estimateCached(e.pin(), phrase, sc, nil)
-	return r
+	return e.estimateCached(e.pin(), phrase, sc, nil)
 }
 
 // estimateCached is EstimateIngredient on a caller-owned scratch: the
-// batch workers hold one scratch for their whole shard instead of
+// batch workers hold one scratch for their whole batch instead of
 // cycling the pool per phrase. The cache key is the normalized token
 // stream (rendered in the scratch, probed without allocating), the exact
 // input every downstream stage consumes. Its FNV-1a hash is computed
-// once and reused for the cache shard, the flight shard, and the store
-// — one pass over the key bytes instead of three.
+// once and reused for the probe and the store.
 //
 // sess, when non-nil, is the worker's pinned match session; nil callers
 // match through the pinned snapshot's pool-backed matcher entry points.
@@ -299,14 +277,9 @@ func (e *Estimator) EstimateIngredient(phrase string) IngredientResult {
 // PutHashGen with the generation captured at pin time, so a result
 // computed against a snapshot that a concurrent Install/ObserveUnits
 // has since retired is dropped instead of cached (snapshot.go).
-//
-// The second return is the phrase-cache key hash (0 when caching is
-// off): the slot-L1 tier above stores it alongside the result so its
-// hits can keep feeding the TinyLFU admission sketch (TouchHash)
-// without re-normalizing the phrase.
-func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) (IngredientResult, uint64) {
+func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) IngredientResult {
 	if e.phraseCache == nil {
-		return e.estimateIngredient(v, phrase, sc, sess), 0
+		return e.estimateIngredient(v, phrase, sc, sess)
 	}
 	sc.Tokenize(phrase)
 	key := sc.PhraseKey()
@@ -315,50 +288,28 @@ func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, 
 		// The cached computation is keyed on the token stream; only the
 		// verbatim Phrase field can differ.
 		r.Phrase = phrase
-		return r, h
-	}
-	if e.opts.DisableCoalescing {
-		r := e.estimateTokenized(v, phrase, sc, sess)
-		// key still aliases the scratch (nothing downstream of Tokenize
-		// touches the phrase-key buffer); materialize it only on this
-		// miss path. Scrub the verbatim phrase from the stored copy: the
-		// cache is keyed on the token stream, and the serving layer may
-		// pass phrases whose backing bytes it reuses after the call.
-		stored := r
-		stored.Phrase = ""
-		e.phraseCache.PutHashGen(h, string(key), stored, v.phraseGen)
-		return r, h
-	}
-	// Coalesce concurrent misses on the same token stream: under load,
-	// the same phrase is often requested again while the first pipeline
-	// pass is still running, and the cache can only absorb repeats after
-	// a result lands. The leader computes, stores, and shares; waiters
-	// block on its flight instead of redoing the pass. The shared value
-	// carries no Phrase for the same reason the stored one doesn't.
-	r, _ := e.flights.DoHash(h, key, func() IngredientResult {
-		r := e.estimateTokenized(v, phrase, sc, sess)
-		r.Phrase = ""
-		e.phraseCache.PutHashGen(h, string(key), r, v.phraseGen)
 		return r
-	})
-	r.Phrase = phrase
-	return r, h
+	}
+	r := e.estimateTokenized(v, phrase, sc, sess)
+	// key still aliases the scratch (nothing downstream of Tokenize
+	// touches the phrase-key buffer); materialize it only on this miss
+	// path. Scrub the verbatim phrase from the stored copy: the cache is
+	// keyed on the token stream, and the serving layer may pass phrases
+	// whose backing bytes it reuses after the call.
+	stored := r
+	stored.Phrase = ""
+	e.phraseCache.PutHashGen(h, string(key), stored, v.phraseGen)
+	return r
 }
-
-// FlightStats reports the single-flight coalescing counters: how many
-// cache misses led a pipeline pass and how many shared another caller's
-// in-flight result. Zero everywhere when caching or coalescing is off.
-func (e *Estimator) FlightStats() flight.Stats { return e.flights.Stats() }
 
 // EstimateIngredientScratch is EstimateIngredient on a caller-owned
 // scratch, for callers (like the serving layer) that pool their own
 // pipeline scratches across requests. The phrase may be backed by a
-// caller-reused buffer: neither the caches nor the shared flight
-// results retain it past the call. The same read-only contract as
-// EstimateIngredient applies to the returned result.
+// caller-reused buffer: the caches never retain it past the call. The
+// same read-only contract as EstimateIngredient applies to the returned
+// result.
 func (e *Estimator) EstimateIngredientScratch(phrase string, sc *pipeline.Scratch) IngredientResult {
-	r, _ := e.estimateCached(e.pin(), phrase, sc, nil)
-	return r
+	return e.estimateCached(e.pin(), phrase, sc, nil)
 }
 
 // matchQuery runs the configured description match, memoized when the
@@ -637,7 +588,7 @@ func (e *Estimator) ObserveUnits(phrases []string) {
 	}
 	v := e.pin()
 	observations := make([]obs, len(phrases))
-	e.forEachIndex(v.snap, len(phrases), 0, func(i int, w *worker) {
+	e.forEachIndexCtx(context.Background(), v.snap, len(phrases), 0, func(i int, w *worker) {
 		// Bypass the phrase cache: a cached most-frequent-unit result
 		// never contributes, and observation must not pollute the cache
 		// with entries that this very pass is about to invalidate.
@@ -671,8 +622,7 @@ func (e *Estimator) ObserveUnits(phrases []string) {
 		// does: publish a snapshot copy with gen bumped (same db/matcher),
 		// then purge — the publish-before-purge order plus the gen-guarded
 		// stores make the invalidation race-free even against estimates
-		// running concurrently with this pass (snapshot.go). The slot L1s
-		// (shard.go) are gen-stamped, so they clear on next claim.
+		// running concurrently with this pass (snapshot.go).
 		e.swapMu.Lock()
 		ns := *e.snap.Load()
 		ns.gen++
@@ -680,24 +630,6 @@ func (e *Estimator) ObserveUnits(phrases []string) {
 		e.phraseCache.Purge()
 		e.swapMu.Unlock()
 	}
-}
-
-// EstimateRecipe runs the pipeline over a recipe's ingredient section.
-func (e *Estimator) EstimateRecipe(phrases []string, servings int) (RecipeResult, error) {
-	return e.EstimateRecipeConcurrent(phrases, servings, 1)
-}
-
-// EstimateRecipeConcurrent is EstimateRecipe with the ingredient lines
-// estimated by a worker pool (see EstimateBatchWorkers for worker
-// semantics). The result is identical to the sequential path.
-func (e *Estimator) EstimateRecipeConcurrent(phrases []string, servings, workers int) (RecipeResult, error) {
-	if len(phrases) == 0 {
-		return RecipeResult{}, errors.New("core: recipe has no ingredients")
-	}
-	if servings <= 0 {
-		return RecipeResult{}, fmt.Errorf("core: invalid servings %d", servings)
-	}
-	return aggregateRecipe(e.EstimateBatchWorkers(phrases, workers), servings), nil
 }
 
 // aggregateRecipe sums per-ingredient results into a RecipeResult.
@@ -713,25 +645,4 @@ func aggregateRecipe(ingredients []IngredientResult, servings int) RecipeResult 
 	out.PerServing = out.Total.Scale(1 / float64(servings))
 	out.MappedFraction = float64(mapped) / float64(len(ingredients))
 	return out
-}
-
-// EstimateRecipeCooked runs EstimateRecipe and then applies the
-// cooking-yield correction of the given method to the totals — the
-// Bognár-style adjustment the paper cites as the accuracy gap of the
-// raw-ingredient-sum approximation. With yield.None it is identical to
-// EstimateRecipe.
-func (e *Estimator) EstimateRecipeCooked(phrases []string, servings int, m yield.Method) (RecipeResult, error) {
-	return e.EstimateRecipeCookedConcurrent(phrases, servings, m, 1)
-}
-
-// EstimateRecipeCookedConcurrent is EstimateRecipeCooked with the
-// ingredient lines estimated by a worker pool (see EstimateBatchWorkers).
-func (e *Estimator) EstimateRecipeCookedConcurrent(phrases []string, servings int, m yield.Method, workers int) (RecipeResult, error) {
-	out, err := e.EstimateRecipeConcurrent(phrases, servings, workers)
-	if err != nil {
-		return out, err
-	}
-	out.Total = yield.Apply(out.Total, m)
-	out.PerServing = yield.Apply(out.PerServing, m)
-	return out, nil
 }

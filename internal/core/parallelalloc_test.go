@@ -5,17 +5,18 @@ package core
 // because oversubscription drained the pool's per-P caches and every
 // checkout re-warmed a cold scratch (re-interning, memo rebuilds, arena
 // regrowth). Worker environments are estimator-owned now, so a warm
-// parallel batch allocates only fixed per-batch machinery (result
-// slice, goroutines, WaitGroup) — nothing per phrase.
+// parallel batch allocates only fixed per-batch machinery (goroutines,
+// WaitGroup, the work closure) — nothing per phrase.
 
 import (
+	"context"
 	"testing"
 
 	"nutriprofile/internal/usda"
 )
 
 // TestParallelBatchZeroAllocPerPhrase: after one warming sweep, a
-// 4-worker sharded batch must stay under a small fixed allocation
+// 4-worker recipe batch on caller-owned memory must stay under a small fixed allocation
 // budget regardless of batch size — i.e. zero allocations per phrase.
 // A re-warming regression costs multiple allocations per phrase and
 // blows the budget by orders of magnitude.
@@ -27,28 +28,36 @@ func TestParallelBatchZeroAllocPerPhrase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus, _ := testCorpus(t, 40)
-	flat := corpus.Phrases()
-	phrases := make([]string, 0, len(flat)*3)
+	corpus, phrases := testCorpus(t, 40)
+	var inputs []RecipeInput
 	for rep := 0; rep < 3; rep++ {
-		phrases = append(phrases, flat...)
+		inputs = append(inputs, recipeInputs(corpus, phrases)...)
 	}
+	lines := 0
+	for _, in := range inputs {
+		lines += len(in.Phrases)
+	}
+	out := make([]RecipeOutcome, len(inputs))
+	arena := make([]IngredientResult, lines)
 
 	const workers = 4
-	e.EstimateBatchWorkers(phrases, workers) // warm caches, L1s, environments
-
+	ctx := context.Background()
+	// Warm caches and environments.
+	if err := e.EstimateRecipesInto(ctx, inputs, workers, out, arena); err != nil {
+		t.Fatal(err)
+	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if got := e.EstimateBatchWorkers(phrases, workers); len(got) != len(phrases) {
-			t.Fatal("short batch result")
+		if err := e.EstimateRecipesInto(ctx, inputs, workers, out, arena); err != nil {
+			t.Fatal(err)
 		}
 	})
-	// Fixed per-batch overhead: one result slice, `workers` goroutine
-	// closures, and the WaitGroup. 24 is several times that machinery
+	// Fixed per-batch overhead: `workers` goroutine closures, the work
+	// closure and the WaitGroup. 24 is several times that machinery
 	// and still ~0.04 allocs per phrase for this input; the pre-fix
 	// behavior (scratch re-warming) costs multiple allocs per *phrase*
 	// and lands thousands over budget.
 	if maxAllocs := 24.0; allocs > maxAllocs {
 		t.Fatalf("warm %d-worker batch of %d phrases allocates %v per run, want <= %v",
-			workers, len(phrases), allocs, maxAllocs)
+			workers, lines, allocs, maxAllocs)
 	}
 }

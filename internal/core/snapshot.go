@@ -10,9 +10,9 @@ package core
 // state off to the side and publish it with one store — in-flight
 // requests simply finish on the snapshot they pinned.
 //
-// Cache consistency across a swap is the subtle part. Three caches hold
-// snapshot-derived results: the phrase and match memo caches and the
-// per-slot L1s (shard.go). The invalidation protocol:
+// Cache consistency across a swap is the subtle part. Two caches hold
+// snapshot-derived results: the phrase and match memo caches. The
+// invalidation protocol:
 //
 //   - Snapshot.gen is the invalidation generation, carried INSIDE the
 //     snapshot so (state, generation) are read atomically together.
@@ -30,19 +30,6 @@ package core
 //     checked under the shard lock) or landed before the purge clears
 //     that shard. Either way no result computed against snapshot N is
 //     readable from a cache after the purge that retired N.
-//
-//   - Slot L1s stamp their contents with the pinned snapshot's gen at
-//     claim time (claimSlot) and clear on mismatch, tying every cached
-//     entry to the generation that produced it.
-//
-// One deliberate softness: a flight-coalescing waiter that pins the new
-// snapshot microseconds after a swap can still share the old-snapshot
-// result of a leader that started before it (the result is never
-// cached — its store is generation-dropped). The ISSUE contract is
-// byte-identical results for requests that started before the swap,
-// which the per-request pin gives deterministically; closing the
-// flight window would serialize every miss on the swap lock for a
-// window shorter than one pipeline pass. Documented in DESIGN.md §13.
 
 import (
 	"errors"
@@ -63,7 +50,7 @@ type Snapshot struct {
 	// boot database. Monotonic; /v1/stats and /admin/reload expose it.
 	version uint64
 	// gen counts cache invalidations: every Install AND every
-	// ObserveUnits pass bumps it. The slot L1s key their contents on it.
+	// ObserveUnits pass bumps it (reported by SnapshotStats).
 	gen uint64
 	// source describes where the database came from (boot flag, image
 	// path) for observability.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -217,11 +218,16 @@ func TestReloadStorm(t *testing.T) {
 					i := (g + iter) % len(swapPhrases)
 					check(i, e.EstimateIngredient(swapPhrases[i]))
 				case 1:
-					for i, r := range e.EstimateBatchWorkers(swapPhrases, 4) {
+					for i, r := range estimateLines(e, swapPhrases, 4) {
 						check(i, r)
 					}
 				default:
-					for i, r := range e.EstimateBatchWorkers(swapPhrases, 1) {
+					res, err := e.EstimateRecipe(context.Background(), RecipeInput{Phrases: swapPhrases, Servings: 1})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i, r := range res.Ingredients {
 						check(i, r)
 					}
 				}

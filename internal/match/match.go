@@ -109,7 +109,7 @@ type Result struct {
 // immutable after construction and safe for concurrent use: Match,
 // Rank, MatchFuzzy and CorrectQuery only read the prebuilt index, and
 // per-query scratch state lives in pooled arenas, so any number of
-// goroutines may share one Matcher (core.EstimateBatch does exactly
+// goroutines may share one Matcher (core.EstimateRecipes does exactly
 // that). Results are deterministic regardless of goroutine interleaving
 // — the ranking key (score, raw bonus, priority, database order) is a
 // total order, so identical queries always produce identical rankings.

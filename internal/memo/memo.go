@@ -17,13 +17,6 @@
 // phrase. Values must be treated as read-only by callers — a cached
 // value is shared by every goroutine that hits it.
 //
-// Shard ownership: the shard index of a key is a pure function of its
-// bytes (ShardIndex of Hash), exported so batch layers can partition
-// work by key hash and give each worker exclusive traffic to "its"
-// shards — the same phrase always lands on the same shard, so a
-// partition-aligned worker pool generates no cross-shard lock traffic
-// on the hot path (DESIGN.md §12).
-//
 // Memoization here can never change results: both memoized functions
 // are pure (a fixed database, matcher configuration, and frozen unit
 // statistics fully determine the output), so a cache hit is byte-for-
@@ -73,11 +66,6 @@ type Stats struct {
 	// frequency duel (or found the main segment not yet full) and
 	// moved window → main (always 0 under PolicyLRU).
 	Admissions uint64 `json:"admissions"`
-	// Touches counts out-of-band TouchHash frequency notifications —
-	// hits served by caller-side tiers (e.g. the estimator's per-worker
-	// slot L1s) that fed the admission sketch without probing the cache
-	// (always 0 under PolicyLRU).
-	Touches uint64 `json:"touches"`
 	// SketchResets counts frequency-sketch aging events (all counters
 	// halved, doorkeeper cleared) across shards.
 	SketchResets uint64 `json:"sketch_resets"`
@@ -154,7 +142,6 @@ type shard[V any] struct {
 	evictions  uint64
 	rejections uint64
 	admissions uint64
-	touchCount uint64
 
 	// Pad shards apart so two workers hammering adjacent shards never
 	// false-share a line. One full line of slack keeps the next
@@ -228,8 +215,8 @@ func HashString(s string) uint64 {
 
 // Hash is HashString over a byte spelling; same algorithm, so a string
 // key and its byte spelling always land on the same shard. Exported so
-// callers that partition work by key hash (core's sharded batch
-// dispatch, the flight layer) compute the hash exactly once per key.
+// callers that probe and then store the same key (core's phrase and
+// match caches) compute the hash exactly once per key.
 func Hash(b []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -243,15 +230,6 @@ func Hash(b []byte) uint64 {
 	return h
 }
 
-// ShardCount returns the number of shards (a power of two).
-func (c *Cache[V]) ShardCount() int { return len(c.shards) }
-
-// ShardIndex maps a key hash (Hash/HashString of the key) to the index
-// of the shard that owns it — a pure function of the key bytes, stable
-// for the cache's lifetime, so batch layers can align worker ownership
-// with shard ownership.
-func (c *Cache[V]) ShardIndex(h uint64) int { return int(h & c.mask) }
-
 func (c *Cache[V]) shardFor(key string) *shard[V] {
 	return &c.shards[HashString(key)&c.mask]
 }
@@ -262,8 +240,8 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 }
 
 // GetHash is Get with the key's hash (HashString(key)) precomputed, so
-// callers that already hashed the key for shard partitioning or the
-// flight layer don't pay for a second pass over its bytes.
+// callers that already hashed the key don't pay for a second pass over
+// its bytes.
 func (c *Cache[V]) GetHash(h uint64, key string) (V, bool) {
 	s := &c.shards[h&c.mask]
 	s.mu.Lock()
@@ -312,23 +290,6 @@ func (c *Cache[V]) GetBytesHash(h uint64, key []byte) (V, bool) {
 	s.hits++
 	s.mu.Unlock()
 	return v, true
-}
-
-// TouchHash records one access to the key hashing to h for the TinyLFU
-// admission sketch without probing (or perturbing) the cache itself: no
-// entry is looked up, no LRU list moves, no hit/miss counter changes.
-// It exists for caller-side cache tiers sitting above this one — their
-// hits never reach Get, which would otherwise starve the frequency
-// signal for exactly the hottest keys and let cold bulk scans evict
-// them. Under PolicyLRU (no sketch) it is a no-op beyond the counter.
-func (c *Cache[V]) TouchHash(h uint64) {
-	s := &c.shards[h&c.mask]
-	s.mu.Lock()
-	if s.policy == PolicyTinyLFU && s.capacity > 0 {
-		s.sk.touch(h)
-		s.touchCount++
-	}
-	s.mu.Unlock()
 }
 
 // Put inserts or refreshes key, evicting the least-recently-used entry
@@ -469,7 +430,6 @@ func (c *Cache[V]) Stats() Stats {
 		st.Evictions += s.evictions
 		st.Rejections += s.rejections
 		st.Admissions += s.admissions
-		st.Touches += s.touchCount
 		st.SketchResets += s.sk.resets
 		st.Entries += len(s.m)
 		s.mu.Unlock()

@@ -6,44 +6,6 @@ import (
 	"testing"
 )
 
-// TestShardIndexStable pins the ownership contract the sharded batch
-// dispatch builds on: a key's shard is a pure function of its bytes —
-// identical across Get/Put spellings, repeated calls, and concurrent
-// storms — so "the same phrase always lands on the same shard".
-func TestShardIndexStable(t *testing.T) {
-	c := NewSharded[int](1024, 8)
-	keys := make([]string, 64)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("phrase %d cups flour", i)
-	}
-	want := make([]int, len(keys))
-	for i, k := range keys {
-		want[i] = c.ShardIndex(HashString(k))
-		if got := c.ShardIndex(Hash([]byte(k))); got != want[i] {
-			t.Fatalf("ShardIndex(Hash(%q)) = %d, string spelling gives %d", k, got, want[i])
-		}
-		if want[i] < 0 || want[i] >= c.ShardCount() {
-			t.Fatalf("ShardIndex(%q) = %d out of range [0,%d)", k, want[i], c.ShardCount())
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 32; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := 0; rep < 100; rep++ {
-				for i, k := range keys {
-					if got := c.ShardIndex(HashString(k)); got != want[i] {
-						t.Errorf("shard for %q moved: %d → %d", k, want[i], got)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestHashVariantsAgree: every Get/Put spelling (string, bytes, with or
 // without a precomputed hash) must hit the same entry.
 func TestHashVariantsAgree(t *testing.T) {

@@ -52,7 +52,8 @@ const (
 	PolicyTinyLFU
 )
 
-// String returns the spelling ParsePolicy accepts ("lru", "tinylfu").
+// String returns the policy's name ("lru", "tinylfu"), as /v1/stats
+// reports it.
 func (p Policy) String() string {
 	switch p {
 	case PolicyLRU:
@@ -61,18 +62,6 @@ func (p Policy) String() string {
 		return "tinylfu"
 	default:
 		return fmt.Sprintf("policy(%d)", uint8(p))
-	}
-}
-
-// ParsePolicy parses the -cache-policy flag spelling of a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "lru":
-		return PolicyLRU, nil
-	case "tinylfu":
-		return PolicyTinyLFU, nil
-	default:
-		return PolicyLRU, fmt.Errorf("unknown cache policy %q (want lru or tinylfu)", s)
 	}
 }
 

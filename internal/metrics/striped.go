@@ -3,8 +3,8 @@ package metrics
 import "sync/atomic"
 
 // Striped is a write-striped counter: each slot's value lives on its
-// own cache line, so writers pinned to distinct slots (the per-worker
-// shards of core's batch pool) never contend or false-share. Reads sum
+// own cache line, so writers pinned to distinct slots (the workers of
+// core's recipe batch pool) never contend or false-share. Reads sum
 // every stripe — the aggregate is assembled on demand, never maintained
 // per increment.
 //

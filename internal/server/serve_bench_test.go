@@ -180,7 +180,7 @@ func BenchmarkServeEstimate(b *testing.B) {
 
 // BenchmarkServeRecipe drives /v1/recipe with the 25 golden recipes.
 // phrases/s counts ingredient phrases so the number is comparable with
-// BenchmarkServeEstimate and BenchmarkEstimateBatch.
+// BenchmarkServeEstimate.
 func BenchmarkServeRecipe(b *testing.B) {
 	s := newBenchServer(b)
 	recipes := benchCorpus(b)

@@ -1,6 +1,7 @@
 package textutil
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -108,5 +109,34 @@ func TestInternerLookupBytes(t *testing.T) {
 	}
 	if _, ok := in.LookupBytes(nil); ok {
 		t.Error("LookupBytes(nil) = hit, want miss")
+	}
+}
+
+// TestFolderExpandWarmZeroAllocs: a phrase with a fraction glyph is
+// expanded once per Folder; repeats tokenize without allocating and
+// give the same tokens as the uncached tokenizer.
+func TestFolderExpandWarmZeroAllocs(t *testing.T) {
+	var f Folder
+	var dst []string
+	const phrase = "1½ cups Sugar"
+	want := Tokenize(phrase)
+	dst = AppendTokensFolded(dst[:0], phrase, &f)
+	if !reflect.DeepEqual(dst, want) {
+		t.Fatalf("AppendTokensFolded(%q) = %q, want %q", phrase, dst, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		dst = AppendTokensFolded(dst[:0], phrase, &f)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm glyph phrase allocates %v per tokenization, want 0", allocs)
+	}
+	for i := 0; i < maxFolderEntries+50; i++ {
+		f.expand(fmt.Sprintf("%d½ cups", i))
+	}
+	if len(f.exp) > maxFolderEntries {
+		t.Fatalf("expansion cache grew to %d entries, bound %d", len(f.exp), maxFolderEntries)
+	}
+	if !reflect.DeepEqual(dst, want) {
+		t.Fatalf("tokens changed after the cache cleared: %q, want %q", dst, want)
 	}
 }

@@ -95,14 +95,40 @@ func AppendTokensFolded(dst []string, s string, f *Folder) []string {
 // far smaller, so the reset path only guards against adversarial input.
 const maxFolderEntries = 4096
 
-// Folder memoizes strings.ToLower for cased tokens. Tokens that are
-// already lower-case never touch the cache (they are returned as
-// zero-copy substrings before the Folder is consulted), so the map only
-// holds the rare cased spellings. A nil *Folder is valid and simply
-// falls back to strings.ToLower. Not safe for concurrent use — a Folder
-// belongs to one goroutine's scratch state.
+// Folder memoizes strings.ToLower for cased tokens and ExpandFractions
+// for phrases holding a fraction glyph. Tokens that are already
+// lower-case and phrases without a glyph never touch the caches, so the
+// maps only hold the rare cased spellings and glyph phrases. A nil
+// *Folder is valid and simply falls back to the uncached functions. Not
+// safe for concurrent use — a Folder belongs to one goroutine's scratch
+// state.
 type Folder struct {
-	m map[string]string
+	m   map[string]string
+	exp map[string]string // phrase → ExpandFractions(phrase)
+}
+
+// expand returns ExpandFractions(s), serving repeated glyph phrases
+// from the cache without allocating. The expansion is an immutable
+// string of its own, so tokens sliced from it stay valid after the
+// cache is cleared.
+func (f *Folder) expand(s string) string {
+	if !containsFractionGlyph(s) {
+		return s
+	}
+	if f == nil {
+		return ExpandFractions(s)
+	}
+	if e, ok := f.exp[s]; ok {
+		return e
+	}
+	e := ExpandFractions(s)
+	if f.exp == nil {
+		f.exp = make(map[string]string)
+	} else if len(f.exp) >= maxFolderEntries {
+		clear(f.exp)
+	}
+	f.exp[strings.Clone(s)] = e
+	return e
 }
 
 // Lower returns strings.ToLower(s), serving repeated cased spellings
@@ -143,7 +169,7 @@ func (f *Folder) Lower(s string) string {
 // substrings because case folding returns its input unchanged when there
 // is nothing to fold; cased tokens fold through f (nil: plain ToLower).
 func appendTokens(dst []string, s string, wordsOnly bool, f *Folder) []string {
-	s = ExpandFractions(s)
+	s = f.expand(s)
 	for i := 0; i < len(s); {
 		r, size := utf8.DecodeRuneInString(s[i:])
 		switch {
