@@ -40,12 +40,15 @@ bench:
 # recipe benchmark also runs at -cpu 1,4,8 so the artifact records the
 # multi-core scaling curve; benchfmt keys entries by (name, procs) and
 # derives each series' parallel efficiency ns1/(N·nsN) into the report.
+# BenchmarkServeBatch puts the response encoder on the gated path (about
+# 135 floats per recipe); BenchmarkAppendFloat times the float kernel
+# against its strconv reference on a bulk-paper-shaped value mix.
 # BenchmarkRankCold / BenchmarkRankLongPostings (spelled explicitly
 # below, though the BenchmarkRank substring already matches them) pin
 # the cold ranking cost at seed and SR26 scale.
 bench-json:
-	$(GO) test -run xxx -bench 'BenchmarkMatchName|BenchmarkRank|BenchmarkRankCold|BenchmarkRankLongPostings|BenchmarkMatchSeed|BenchmarkMatchLargeDB|BenchmarkEstimateRecipes/^sequential$$|BenchmarkTagPhrase|BenchmarkPipelineScratch|BenchmarkServeEstimate|BenchmarkServeRecipe' \
-		-benchmem -benchtime=1s ./internal/match/ ./internal/server/ . | tee bench_match.txt
+	$(GO) test -run xxx -bench 'BenchmarkMatchName|BenchmarkRank|BenchmarkRankCold|BenchmarkRankLongPostings|BenchmarkMatchSeed|BenchmarkMatchLargeDB|BenchmarkEstimateRecipes/^sequential$$|BenchmarkTagPhrase|BenchmarkPipelineScratch|BenchmarkServeEstimate|BenchmarkServeRecipe|BenchmarkServeBatch|BenchmarkAppendFloat' \
+		-benchmem -benchtime=1s ./internal/match/ ./internal/server/ ./internal/jsonx/ . | tee bench_match.txt
 	$(GO) test -run xxx -bench 'BenchmarkLoadBaked|BenchmarkLoadParse' \
 		-benchmem -benchtime=1s ./internal/usda/bake/ | tee -a bench_match.txt
 	$(GO) test -run xxx -bench 'BenchmarkEstimateRecipes/^parallel_cached$$' -cpu 1,4,8 \
@@ -113,6 +116,7 @@ fuzz:
 	$(GO) test -fuzz FuzzEstimateHandler -fuzztime 15s -run xxx ./internal/server/
 	$(GO) test -fuzz FuzzRecipeHandler -fuzztime 15s -run xxx ./internal/server/
 	$(GO) test -fuzz FuzzBatchHandler -fuzztime 15s -run xxx ./internal/server/
+	$(GO) test -fuzz FuzzAppendFloat -fuzztime 15s -run xxx ./internal/jsonx/
 
 # Per-package coverage floors for the packages whose regressions hurt
 # most in production. The serving layer carries the pooled codec — every

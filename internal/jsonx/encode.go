@@ -18,6 +18,8 @@ package jsonx
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -86,20 +88,134 @@ func AppendString(b []byte, s string) []byte {
 // zero stripped (1e-07 → 1e-7). f must be finite — encoding/json refuses
 // NaN/Inf with an error, and the serving layer's profiles are validated
 // finite, so this appender has no error path.
+//
+// The 'f' range never reaches strconv and never allocates. ±0 and short
+// decimals take the integer path: when |f|·10⁶ < 2⁵¹, r = round(|f|·10⁶)
+// is accepted if r/10⁶ == |f|. Below 2⁵¹/10⁶ < 2³² a float64's rounding
+// interval is narrower than 10⁻⁶, so r·10⁻⁶ is the only multiple of 10⁻⁶
+// that parses back to f, and strconv's shortest digits are r's with the
+// trailing zeros stripped. Every other 'f'-range value runs the Ryū port
+// in ryu.go.
 func AppendFloat(b []byte, f float64) []byte {
 	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	if s := abs * 1e6; s < 1<<51 {
+		if r := math.Round(s); r/1e6 == abs {
+			if math.Signbit(f) {
+				b = append(b, '-')
+			}
+			return appendMicros(b, uint64(r))
+		}
 	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
+	if !(abs >= 1e-6 && abs < 1e21) {
+		b = strconv.AppendFloat(b, f, 'e', -1, 64)
 		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
 			b[n-2] = b[n-1]
 			b = b[:n-1]
 		}
+		return b
+	}
+	u := math.Float64bits(f)
+	if u>>63 != 0 {
+		b = append(b, '-')
+	}
+	m, e := ryuShortest(u&(1<<52-1)|1<<52, int(u>>52&0x7FF)-1075)
+	return appendDecimal(b, m, e)
+}
+
+// pow10 holds 10^i for every i a uint64 can hold.
+var pow10 = [...]uint64{
+	1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// appendMicros appends r×10⁻⁶ with no trailing fractional zeros.
+func appendMicros(b []byte, r uint64) []byte {
+	ip, frac := r/1e6, uint32(r%1e6)
+	k := decimalLen(ip)
+	n := len(b)
+	b = slices.Grow(b, k)[:n+k]
+	putDigits(b[n:], ip)
+	if frac == 0 {
+		return b
+	}
+	w := 6
+	for frac%10 == 0 {
+		frac /= 10
+		w--
+	}
+	n = len(b)
+	b = slices.Grow(b, w+1)[:n+w+1]
+	b[n] = '.'
+	putDigits(b[n+1:], uint64(frac))
+	return b
+}
+
+// appendDecimal appends m×10^e (m > 0) in 'f' notation with no trailing
+// fractional zeros, as strconv's shortest 'f' form prints it.
+func appendDecimal(b []byte, m uint64, e int) []byte {
+	for e < 0 && m%10 == 0 {
+		m /= 10
+		e++
+	}
+	k := decimalLen(m)
+	n := len(b)
+	switch {
+	case e >= 0:
+		b = slices.Grow(b, k+e)[:n+k+e]
+		putDigits(b[n:n+k], m)
+		for i := n + k; i < len(b); i++ {
+			b[i] = '0'
+		}
+	case k > -e:
+		// Print all k digits, then open a gap for the point.
+		b = slices.Grow(b, k+1)[:n+k+1]
+		putDigits(b[n:n+k], m)
+		p := n + k + e
+		copy(b[p+1:], b[p:n+k])
+		b[p] = '.'
+	default:
+		b = slices.Grow(b, 2-e)[:n+2-e]
+		b[n], b[n+1] = '0', '.'
+		putDigits(b[n+2:], m)
 	}
 	return b
+}
+
+// decimalLen returns the number of decimal digits of m (1 for 0).
+func decimalLen(m uint64) int {
+	m |= 1                          // same digit count: 10^k - 1 is odd
+	t := bits.Len64(m) * 1233 >> 12 // ≈ floor(log10(2^Len64))
+	if m < pow10[t] {
+		return t
+	}
+	return t + 1
+}
+
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// putDigits writes v right-aligned into dst, zero-padded to len(dst);
+// v must have at most len(dst) digits.
+func putDigits(dst []byte, v uint64) {
+	i := len(dst)
+	for ; i >= 2; i -= 2 {
+		q := v / 100
+		r := v - q*100
+		dst[i-1] = digitPairs[2*r+1]
+		dst[i-2] = digitPairs[2*r]
+		v = q
+	}
+	if i == 1 {
+		dst[0] = byte('0' + v)
+	}
 }
 
 // AppendInt appends v in base 10.

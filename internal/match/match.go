@@ -146,6 +146,8 @@ type Matcher struct {
 	arenas     sync.Pool
 	poolGets   atomic.Uint64
 	poolMisses atomic.Uint64
+	// ranks counts rankCands calls, whichever arena they run on.
+	ranks atomic.Uint64
 
 	// Pruned-engine instrumentation (prune.go), batched per query and
 	// flushed once, so the counters cost a handful of uncontended atomic
@@ -529,7 +531,8 @@ type MatcherStats struct {
 	VocabSize      int    `json:"vocab_size"`      // distinct interned terms
 	PostingLists   int    `json:"posting_lists"`   // non-empty posting lists (== VocabSize here)
 	PostingEntries int    `json:"posting_entries"` // total (term, doc) postings
-	PoolGets       uint64 `json:"pool_gets"`       // arena checkouts (one per query)
+	Ranks          uint64 `json:"ranks"`           // ranking queries run, pooled or on a pinned Session
+	PoolGets       uint64 `json:"pool_gets"`       // arena checkouts: one per pooled query or Session
 	PoolMisses     uint64 `json:"pool_misses"`     // checkouts that had to allocate a fresh arena
 
 	// Ranking-engine counters (prune.go).
@@ -564,6 +567,7 @@ func (m *Matcher) Stats() MatcherStats {
 		VocabSize:            m.vocab.Len(),
 		PostingLists:         lists,
 		PostingEntries:       len(m.postDocs),
+		Ranks:                m.ranks.Load(),
 		PoolGets:             m.poolGets.Load(),
 		PoolMisses:           m.poolMisses.Load(),
 		PruneTermsSkipped:    m.pruneTermsSkipped.Load(),

@@ -143,6 +143,7 @@ func kthInter(hist []int32, k int) int32 {
 // golden, fuzz and metamorphic differentials in prune_test.go pin it to
 // the exhaustive spec byte-for-byte.
 func (m *Matcher) rankCands(a *arena, q Query, k int) []cand {
+	m.ranks.Add(1)
 	if !a.prepare(m, q) {
 		return nil
 	}

@@ -38,6 +38,28 @@ func TestSessionMatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestRanksCountsSessionQueries: Ranks counts every ranking query, pooled
+// or on a pinned Session, while PoolGets counts only arena checkouts —
+// one per pooled query and one per Session.
+func TestRanksCountsSessionQueries(t *testing.T) {
+	m := NewDefault(usda.Seed())
+	const k = 5
+	before := m.Stats()
+	s := m.NewSession()
+	for i := 0; i < k; i++ {
+		m.Match(Query{Name: "low fat sour cream"})
+		s.Match(Query{Name: "butter"})
+	}
+	s.Close()
+	after := m.Stats()
+	if got := after.Ranks - before.Ranks; got != 2*k {
+		t.Errorf("Ranks grew by %d over %d Match + %d Session.Match calls, want %d", got, k, k, 2*k)
+	}
+	if got := after.PoolGets - before.PoolGets; got != k+1 {
+		t.Errorf("PoolGets grew by %d, want %d (one per Match, one for the Session)", got, k+1)
+	}
+}
+
 // TestSessionWarmZeroAllocs: after one warming query, Session.Match
 // must allocate nothing — the arena is pinned, so not even a pool
 // checkout happens per call.

@@ -403,3 +403,32 @@ func TestPrometheusWriteError(t *testing.T) {
 		t.Fatalf("got %v, want the writer's error", err)
 	}
 }
+
+// TestPrometheusMicrosecondBuckets pins the default ladder on the wire:
+// le bounds from 1e-06 to 1 s in 1–2.5–5 steps, and warm-path latencies
+// of a few microseconds resolved below the old 0.25 ms floor.
+func TestPrometheusMicrosecondBuckets(t *testing.T) {
+	g := NewRegistry()
+	rt := g.Route("/v1/estimate")
+	for _, d := range []time.Duration{5 * time.Microsecond, 7 * time.Microsecond, 30 * time.Microsecond, 300 * time.Microsecond} {
+		rt.Observe(200, d)
+	}
+	var buf bytes.Buffer
+	if err := g.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range parseExposition(t, buf.String())["nutriserve_http_request_duration_seconds"].samples {
+		if s.name == "nutriserve_http_request_duration_seconds_bucket" {
+			got = append(got, fmt.Sprintf("%s=%v", s.labels["le"], s.value))
+		}
+	}
+	want := []string{
+		"1e-06=0", "2.5e-06=0", "5e-06=1", "1e-05=2", "2.5e-05=2", "5e-05=3",
+		"0.0001=3", "0.00025=3", "0.0005=4", "0.001=4", "0.0025=4", "0.005=4",
+		"0.01=4", "0.025=4", "0.05=4", "0.1=4", "0.25=4", "0.5=4", "1=4", "+Inf=4",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("buckets\n got %v\nwant %v", got, want)
+	}
+}

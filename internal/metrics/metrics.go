@@ -14,12 +14,16 @@ import (
 	"time"
 )
 
-// DefaultBuckets are the histogram upper bounds in milliseconds. The
-// range is tuned to the pipeline's latency profile: warm-cache single
-// phrases land in the sub-millisecond buckets, cold multi-ingredient
-// recipes in the tens of milliseconds, and anything beyond a second
-// indicates overload or a stuck dependency.
-var DefaultBuckets = []float64{0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000}
+// DefaultBuckets are the histogram upper bounds in milliseconds: a
+// 1–2.5–5 ladder from 1 µs to 1 s. A warm /v1/estimate takes a few
+// microseconds and a warm /v1/recipe tens of them, so the ladder starts
+// low enough to resolve the hot path; cold multi-ingredient recipes land
+// in the millisecond buckets, and anything beyond a second indicates
+// overload or a stuck dependency.
+var DefaultBuckets = []float64{
+	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
+	1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000,
+}
 
 // Histogram counts observations into fixed latency buckets. All methods
 // are safe for concurrent use; counters only ever increase.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -33,6 +34,32 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 	if s.MeanMs <= 0 {
 		t.Fatalf("mean %v", s.MeanMs)
+	}
+}
+
+// TestDefaultBucketsLadder pins DefaultBuckets to the 1–2.5–5 ladder
+// from 1 µs to 1 s (bounds are in milliseconds).
+func TestDefaultBucketsLadder(t *testing.T) {
+	steps := []float64{1, 2.5, 5}
+	var want []float64
+	for decade := 0.001; decade < 1000; decade *= 10 {
+		for _, s := range steps {
+			want = append(want, s*decade)
+		}
+	}
+	want = append(want, 1000)
+	if len(DefaultBuckets) != len(want) {
+		t.Fatalf("%d default buckets, want %d", len(DefaultBuckets), len(want))
+	}
+	for i, b := range DefaultBuckets {
+		if math.Abs(b-want[i]) > 1e-9*want[i] {
+			t.Errorf("bucket %d = %vms, want %vms", i, b, want[i])
+		}
+	}
+	h := NewHistogram(nil)
+	h.Observe(5 * time.Microsecond)
+	if s := h.Snapshot(); s.Buckets[2].UpperMs != 0.005 || s.Buckets[2].Count != 1 {
+		t.Errorf("5µs landed in %+v, want the ≤0.005ms bucket", s.Buckets)
 	}
 }
 

@@ -551,6 +551,10 @@ func (st *batchStream) decodeLine(sp *lineSpan) {
 				`"phrase" must be a non-empty ingredient phrase`)
 			return
 		}
+		if len(p) > MaxPhraseBytes {
+			st.errItem(sp.line, http.StatusBadRequest, "phrase_too_long", phraseTooLong(-1, len(p)))
+			return
+		}
 		bs.ings = append(bs.ings, p)
 		bs.items = append(bs.items, batchItem{
 			kind: itemEstimate, line: sp.line, idx: len(bs.inputs),
@@ -584,6 +588,10 @@ func (st *batchStream) decodeLine(sp *lineSpan) {
 				fmt.Sprintf("unknown cooking method %q", byteView(method)))
 			return
 		}
+	}
+	if i := longPhrase(bs.ings[ingsStart:]); i >= 0 {
+		st.errItem(sp.line, http.StatusBadRequest, "phrase_too_long", phraseTooLong(i, len(bs.ings[ingsStart+i])))
+		return
 	}
 	bs.items = append(bs.items, batchItem{
 		kind: itemRecipe, line: sp.line, idx: len(bs.inputs),

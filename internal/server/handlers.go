@@ -59,6 +59,34 @@ type BatchErrorDetail struct {
 	Line    int    `json:"line"`
 }
 
+// MaxPhraseBytes caps one ingredient phrase on every estimation route.
+// Pipeline CPU grows with phrase length (a 1 MiB phrase cost about a
+// quarter second), and real phrases are short: the longest in the golden
+// corpus is 43 bytes, in the paper-scale generated corpus 59 and in the
+// SR26 long-tail corpus about 150. Longer phrases get 400
+// phrase_too_long before the estimator sees them.
+const MaxPhraseBytes = 1024
+
+// phraseTooLong is the phrase_too_long message for the 0-based
+// ingredient i of a recipe, or for an estimate's phrase when i < 0.
+func phraseTooLong(i, n int) string {
+	if i < 0 {
+		return fmt.Sprintf(`"phrase" is %d bytes, over the %d-byte limit`, n, MaxPhraseBytes)
+	}
+	return fmt.Sprintf("ingredient %d is %d bytes, over the %d-byte limit", i+1, n, MaxPhraseBytes)
+}
+
+// longPhrase returns the index of the first phrase over MaxPhraseBytes,
+// or -1.
+func longPhrase(phrases []string) int {
+	for i, p := range phrases {
+		if len(p) > MaxPhraseBytes {
+			return i
+		}
+	}
+	return -1
+}
+
 // EstimateRequest is the POST /v1/estimate body.
 type EstimateRequest struct {
 	Phrase string `json:"phrase"`
@@ -136,6 +164,9 @@ func (s *Server) estimateHot(sc *serveScratch, ctx context.Context, body io.Read
 		return errInto(sc, http.StatusBadRequest, "empty_phrase",
 			`"phrase" must be a non-empty ingredient phrase`)
 	}
+	if len(phrase) > MaxPhraseBytes {
+		return errInto(sc, http.StatusBadRequest, "phrase_too_long", phraseTooLong(-1, len(phrase)))
+	}
 	if err := ctx.Err(); err != nil {
 		return timeoutInto(sc, err)
 	}
@@ -202,6 +233,9 @@ func (s *Server) recipeHot(sc *serveScratch, ctx context.Context, body io.Reader
 			return errInto(sc, http.StatusBadRequest, "bad_method",
 				fmt.Sprintf("unknown cooking method %q", req.method))
 		}
+	}
+	if i := longPhrase(req.ingredients); i >= 0 {
+		return errInto(sc, http.StatusBadRequest, "phrase_too_long", phraseTooLong(i, len(req.ingredients[i])))
 	}
 
 	res, err := s.est.EstimateRecipe(ctx, core.RecipeInput{Phrases: req.ingredients, Servings: req.servings, Method: method})

@@ -24,7 +24,7 @@ var matchFamilies = []struct {
 	name, help, typ string
 	value           func(st match.MatcherStats) float64
 }{
-	{"nutriserve_match_pool_gets_total", "Scoring-arena checkouts (one per ranking query).", "counter",
+	{"nutriserve_match_pool_gets_total", "Scoring-arena checkouts: one per pooled ranking query or pinned session.", "counter",
 		func(st match.MatcherStats) float64 { return float64(st.PoolGets) }},
 	{"nutriserve_match_pool_misses_total", "Arena checkouts that allocated instead of reusing a pooled arena.", "counter",
 		func(st match.MatcherStats) float64 { return float64(st.PoolMisses) }},
@@ -40,6 +40,8 @@ var matchFamilies = []struct {
 		func(st match.MatcherStats) float64 { return float64(st.PrunePostingsAvoided) }},
 	{"nutriserve_match_prune_terms_skipped_total", "Scheduled terms skipped outright (empty candidate set).", "counter",
 		func(st match.MatcherStats) float64 { return float64(st.PruneTermsSkipped) }},
+	{"nutriserve_match_ranks_total", "Ranking queries run by the scoring engine, pooled or on a pinned session.", "counter",
+		func(st match.MatcherStats) float64 { return float64(st.Ranks) }},
 	{"nutriserve_match_docs", "Documents (food descriptions) in the live scoring index.", "gauge",
 		func(st match.MatcherStats) float64 { return float64(st.Docs) }},
 	{"nutriserve_match_posting_entries", "Total posting entries in the live scoring index.", "gauge",

@@ -110,6 +110,7 @@ func TestMatchMetricsExposition(t *testing.T) {
 		"nutriserve_match_pool_gets_total":              float64(st.PoolGets),
 		"nutriserve_match_pool_misses_total":            float64(st.PoolMisses),
 		"nutriserve_match_probe_terms_total":            float64(st.AdaptiveProbeTerms),
+		"nutriserve_match_ranks_total":                  float64(st.Ranks),
 		"nutriserve_match_prune_compactions_total":      float64(st.PruneCompactions),
 		"nutriserve_match_prune_docs_dropped_total":     float64(st.PruneDocsDropped),
 		"nutriserve_match_prune_gather_exits_total":     float64(st.PruneGatherExits),
@@ -138,7 +139,7 @@ func TestMatchMetricsExposition(t *testing.T) {
 	if samples["nutriserve_match_docs"] == 0 || samples["nutriserve_match_vocab_size"] == 0 {
 		t.Error("index-shape gauges are zero on a live server")
 	}
-	if samples["nutriserve_match_pool_gets_total"] == 0 {
+	if samples["nutriserve_match_ranks_total"] == 0 {
 		t.Error("no ranking queries recorded after estimate traffic")
 	}
 	if samples["nutriserve_match_prune_docs_dropped_total"] == 0 {

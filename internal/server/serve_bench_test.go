@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"nutriprofile/internal/core"
+	"nutriprofile/internal/recipedb"
 	"nutriprofile/internal/usda"
 )
 
@@ -228,4 +229,37 @@ func BenchmarkServeRecipe(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "recipes/s")
 		b.ReportMetric(meanPhrases*float64(b.N)/b.Elapsed().Seconds(), "phrases/s")
 	})
+}
+
+// BenchmarkServeBatch drives one 1,024-line /v1/batch body of generated
+// recipedb recipes (the paper-workload line shape) through Handler(),
+// after one warming pass. The rendered response carries about 135
+// floats per recipe, so the encoder's share of the cost shows here as it
+// does in the end-to-end bulk workload.
+func BenchmarkServeBatch(b *testing.B) {
+	s := newBenchServer(b)
+	gen, err := recipedb.Generate(recipedb.Config{NumRecipes: 1024, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var body []byte
+	for i := range gen.Recipes {
+		rec := &gen.Recipes[i]
+		ings := make([]string, len(rec.Ingredients))
+		for j := range rec.Ingredients {
+			ings[j] = rec.Ingredients[j].Phrase
+		}
+		line, err := json.Marshal(RecipeRequest{Ingredients: ings, Servings: rec.Servings, Method: rec.Method.String()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		body = append(append(body, line...), '\n')
+	}
+	h := s.Handler()
+	reqs := []benchRequest{newBenchRequest("/v1/batch", body)}
+	// Warm: fill the caches and grow the scratch arenas.
+	reqs[0].req.Body = readCloser{reqs[0].body}
+	h.ServeHTTP(&nullWriter{h: make(http.Header, 4)}, reqs[0].req)
+	replay(b, h, reqs)
+	b.ReportMetric(float64(len(gen.Recipes))*float64(b.N)/b.Elapsed().Seconds(), "recipes/s")
 }
