@@ -141,8 +141,8 @@ cover-check:
 
 # Bake two fixture images, boot nutriserve -db on the first, curl all
 # four routes, hot-swap to the second via /admin/reload, verify
-# /v1/stats reports the new snapshot, then check SIGTERM drains
-# cleanly. The end-to-end smoke CI runs on every push.
+# /v1/stats and /metrics report the new snapshot, then check SIGTERM
+# drains cleanly. The end-to-end smoke CI runs on every push.
 SMOKE_ADDR ?= 127.0.0.1:18080
 serve-smoke:
 	@set -e; \
@@ -167,6 +167,8 @@ serve-smoke:
 		-d '{"path":"/tmp/smoke-b.img"}' http://$(SMOKE_ADDR)/admin/reload; echo; \
 	curl -fsS http://$(SMOKE_ADDR)/v1/stats | grep -q '"version":2' || \
 		{ echo "serve-smoke: stats does not report reloaded snapshot v2" >&2; exit 1; }; \
+	curl -fsS http://$(SMOKE_ADDR)/metrics | grep -qx 'nutriserve_db_snapshot_version{source="/tmp/smoke-b.img"} 2' || \
+		{ echo "serve-smoke: /metrics does not report reloaded snapshot v2" >&2; exit 1; }; \
 	curl -fsS -X POST -H 'Content-Type: application/json' \
 		-d '{"phrase":"2 cups all-purpose flour"}' http://$(SMOKE_ADDR)/v1/estimate >/dev/null; \
 	kill -TERM $$pid; wait $$pid; \

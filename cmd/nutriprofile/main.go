@@ -21,7 +21,7 @@
 //
 // -stats appends the hot path's observability counters to either mode:
 // phrase/match memoization cache hit rates and the matcher engine's
-// index shape (vocabulary size, posting lists) and arena-pool hit rate.
+// index shape (documents, vocabulary, postings) and arena-pool hit rate.
 package main
 
 import (
@@ -151,8 +151,8 @@ func printStats(e *core.Estimator) {
 	fmt.Printf("admission:     phrase %d admitted / %d rejected, match %d admitted / %d rejected, %d sketch resets\n",
 		ps.Admissions, ps.Rejections, ms.Admissions, ms.Rejections, ps.SketchResets+ms.SketchResets)
 	st := e.MatcherStats()
-	fmt.Printf("matcher index: %d docs, %d-term vocabulary, %d posting lists, %d postings\n",
-		st.Docs, st.VocabSize, st.PostingLists, st.PostingEntries)
+	fmt.Printf("matcher index: %d docs, %d-term vocabulary, %d postings\n",
+		st.Docs, st.VocabSize, st.PostingEntries)
 	fmt.Printf("matcher arena: %d ranks, %d checkouts, %d pool misses (%.0f%% pool hit rate)\n",
 		st.Ranks, st.PoolGets, st.PoolMisses, 100*st.PoolHitRate())
 	fmt.Printf("matcher prune: %d postings avoided, %d candidates dropped, %d compactions, %d gather exits, %d probe terms, %d terms skipped\n",

@@ -24,20 +24,14 @@ import (
 
 	"nutriprofile/internal/match"
 	"nutriprofile/internal/memo"
-	"nutriprofile/internal/metrics"
 	"nutriprofile/internal/pipeline"
 	"nutriprofile/internal/yield"
 )
 
-const (
-	// maxFreeEnvs bounds the worker-environment free list: more
-	// environments than this can exist transiently (concurrent batches
-	// each holding several), but only this many are retained.
-	maxFreeEnvs = 64
-
-	// statStripes is the stripe count of the batched stats aggregates.
-	statStripes = 16
-)
+// maxFreeEnvs bounds the worker-environment free list: more
+// environments than this can exist transiently (concurrent batches each
+// holding several), but only this many are retained.
+const maxFreeEnvs = 64
 
 // env is one worker environment: the per-goroutine NLP scratch arena
 // plus a match session pinned to one matcher (its own scoring arena).
@@ -65,15 +59,9 @@ type envPool struct {
 	freeEnvs []*env
 	envsMade uint64 // lifetime environments created, under envMu
 
-	// Workers accumulate locally and Add once per batch, striped so
-	// concurrent flushes don't share lines.
-	phrasesDone *metrics.Striped
-	flushes     *metrics.Striped
-}
-
-func (p *envPool) init() {
-	p.phrasesDone = metrics.NewStriped(statStripes)
-	p.flushes = metrics.NewStriped(statStripes)
+	// Workers accumulate locally and Add once per batch.
+	phrasesDone atomic.Uint64
+	flushes     atomic.Uint64
 }
 
 // ShardStats is the observability snapshot of the batch worker layer
@@ -91,8 +79,8 @@ func (e *Estimator) ShardStats() ShardStats {
 	envs := e.envsMade
 	e.envMu.Unlock()
 	return ShardStats{
-		Phrases:       e.phrasesDone.Sum(),
-		WorkerFlushes: e.flushes.Sum(),
+		Phrases:       e.phrasesDone.Load(),
+		WorkerFlushes: e.flushes.Load(),
 		Envs:          envs,
 	}
 }
@@ -135,13 +123,13 @@ func (e *Estimator) putEnv(v *env) {
 	v.sess.Close()
 }
 
-// flushWorker performs the batched stats flush: one striped Add per
-// counter per worker per batch, then returns the environment.
-func (e *Estimator) flushWorker(w *worker, stripe int) {
+// flushWorker performs the batched stats flush: one Add per counter per
+// worker per batch, then returns the environment.
+func (e *Estimator) flushWorker(w *worker) {
 	if w.phrases != 0 {
-		e.phrasesDone.Add(stripe, w.phrases)
+		e.phrasesDone.Add(w.phrases)
 	}
-	e.flushes.Add(stripe, 1)
+	e.flushes.Add(1)
 	e.putEnv(w.env)
 }
 
@@ -172,7 +160,7 @@ func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, work
 	done := ctx.Done()
 	if workers == 1 {
 		w := worker{env: e.getEnv(snap)}
-		defer e.flushWorker(&w, 0)
+		defer e.flushWorker(&w)
 		for i := 0; i < n; i++ {
 			select {
 			case <-done:
@@ -186,11 +174,11 @@ func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, work
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func(wk int) {
+	for range workers {
+		go func() {
 			defer wg.Done()
 			w := worker{env: e.getEnv(snap)}
-			defer e.flushWorker(&w, wk%statStripes)
+			defer e.flushWorker(&w)
 			for {
 				select {
 				case <-done:
@@ -203,7 +191,7 @@ func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, work
 				}
 				fn(i, &w)
 			}
-		}(wk)
+		}()
 	}
 	wg.Wait()
 	return ctx.Err()
@@ -336,7 +324,7 @@ func (e *Estimator) EstimateRecipesInto(ctx context.Context, recipes []RecipeInp
 		// the difference between the bulk hot path's zero-alloc pin and
 		// almost-zero.
 		w := worker{env: e.getEnv(v.snap)}
-		defer e.flushWorker(&w, 0)
+		defer e.flushWorker(&w)
 		for i := range recipes {
 			dst := out[i].Result.Ingredients
 			out[i] = e.estimateRecipeWorker(ctx, v, recipes[i], &w, dst[:len(recipes[i].Phrases)])
@@ -364,8 +352,8 @@ func (e *Estimator) CacheStats() (phrase, match memo.Stats) {
 	return phrase, match
 }
 
-// MatcherStats reports the description matcher's index shape (vocabulary
-// size, posting lists) and arena-pool counters, alongside CacheStats the
+// MatcherStats reports the description matcher's index shape (documents,
+// vocabulary, postings) and arena-pool counters, alongside CacheStats the
 // observability surface of the estimation hot path (cmd/nutriprofile
 // -stats).
 func (e *Estimator) MatcherStats() match.MatcherStats {

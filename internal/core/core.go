@@ -151,8 +151,8 @@ type Estimator struct {
 	phraseCache *memo.Cache[IngredientResult]
 	matchCache  *memo.Cache[matchHit]
 
-	// envPool holds the batch workers' environments and their striped
-	// batched-flush stat aggregates (batch.go).
+	// envPool holds the batch workers' environments and their batched
+	// stat counters (batch.go).
 	envPool
 }
 
@@ -202,7 +202,6 @@ func newEstimator(db *usda.DB, m *match.Matcher, tagger ner.Tagger, opts Options
 		e.phraseCache = memo.NewPolicy[IngredientResult](opts.CacheSize, memo.DefaultShards, memo.PolicyTinyLFU)
 		e.matchCache = memo.NewPolicy[matchHit](opts.CacheSize, memo.DefaultShards, memo.PolicyTinyLFU)
 	}
-	e.envPool.init()
 	return e, nil
 }
 

@@ -529,7 +529,6 @@ func (m *Matcher) DB() *usda.DB { return m.db }
 type MatcherStats struct {
 	Docs           int    `json:"docs"`            // documents (food descriptions) indexed
 	VocabSize      int    `json:"vocab_size"`      // distinct interned terms
-	PostingLists   int    `json:"posting_lists"`   // non-empty posting lists (== VocabSize here)
 	PostingEntries int    `json:"posting_entries"` // total (term, doc) postings
 	Ranks          uint64 `json:"ranks"`           // ranking queries run, pooled or on a pinned Session
 	PoolGets       uint64 `json:"pool_gets"`       // arena checkouts: one per pooled query or Session
@@ -556,16 +555,9 @@ func (s MatcherStats) PoolHitRate() float64 {
 
 // Stats snapshots the matcher's index shape and arena-pool counters.
 func (m *Matcher) Stats() MatcherStats {
-	lists := 0
-	for t := 0; t < m.vocab.Len(); t++ {
-		if m.postOff[t+1] > m.postOff[t] {
-			lists++
-		}
-	}
 	return MatcherStats{
 		Docs:                 m.db.Len(),
 		VocabSize:            m.vocab.Len(),
-		PostingLists:         lists,
 		PostingEntries:       len(m.postDocs),
 		Ranks:                m.ranks.Load(),
 		PoolGets:             m.poolGets.Load(),

@@ -1,19 +1,21 @@
 package metrics
 
-// Prometheus text exposition (format version 0.0.4) over the registry's
-// snapshot — the same numbers /v1/stats serves as JSON, rendered the way
-// every production scrape stack already understands. The exposition is
-// computed from one Snapshot so a scrape is internally consistent to the
-// same degree the JSON surface is, and the output is deterministic
-// (routes sorted) so it can be golden-tested and diffed across scrapes.
+// Prometheus text exposition (format version 0.0.4): the wire-format
+// primitives every /metrics family is written with — HELP/TYPE headers,
+// label escaping, number formatting — plus the per-route families of a
+// registry Snapshot. Which other families exist, and where their values
+// come from, is the serving layer's business; this file only knows how
+// they look on the wire.
 //
 // Unit conventions follow Prometheus practice: durations in seconds
 // (the registry's millisecond buckets are converted at render time),
 // cumulative counters suffixed _total, histograms exposed as cumulative
 // _bucket series with an le label and a terminal le="+Inf" equal to
-// _count.
+// _count. Output is deterministic (routes and classes sorted) so it can
+// be golden-tested and diffed across scrapes.
 
 import (
+	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -22,170 +24,133 @@ import (
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // PrometheusContentType is the Content-Type a /metrics handler should
-// send with WritePrometheus output.
+// send with a Text exposition.
 func PrometheusContentType() string { return promContentType }
 
-// WritePrometheus renders the registry in Prometheus text format. One
-// scrape takes one snapshot; errors are the writer's.
-func (g *Registry) WritePrometheus(w io.Writer) error {
-	return writePrometheus(w, g.Snapshot())
-}
-
-// promWriter accumulates the exposition, capturing the first write error
-// so the render code stays linear.
-type promWriter struct {
+// Text accumulates one exposition and writes it in a single Flush, so
+// the render code stays linear and a write error surfaces once.
+type Text struct {
 	w   io.Writer
 	buf []byte
-	err error
 }
 
-func (p *promWriter) flush() error {
-	if p.err == nil && len(p.buf) > 0 {
-		_, p.err = p.w.Write(p.buf)
-		p.buf = p.buf[:0]
+// NewText starts an exposition that Flush writes to w.
+func NewText(w io.Writer) *Text {
+	return &Text{w: w, buf: make([]byte, 0, 8192)}
+}
+
+// Flush writes the exposition and returns the writer's error.
+func (t *Text) Flush() error {
+	_, err := t.w.Write(t.buf)
+	t.buf = t.buf[:0]
+	return err
+}
+
+// Header emits the HELP and TYPE lines of one metric family.
+func (t *Text) Header(name, help, typ string) {
+	t.buf = append(t.buf, "# HELP "...)
+	t.buf = append(t.buf, name...)
+	t.buf = append(t.buf, ' ')
+	t.buf = append(t.buf, help...)
+	t.buf = append(t.buf, "\n# TYPE "...)
+	t.buf = append(t.buf, name...)
+	t.buf = append(t.buf, ' ')
+	t.buf = append(t.buf, typ...)
+	t.buf = append(t.buf, '\n')
+}
+
+// Sample emits one sample line. labels alternate key, value. Integer
+// values print as integers and float64 in shortest 'g' form; a family
+// keeps whichever form it was introduced with, since scrapers compare
+// lines. Any other value type is a programming error and panics.
+func (t *Text) Sample(name string, v any, labels ...string) {
+	t.buf = append(t.buf, name...)
+	for i := 0; i+1 < len(labels); i += 2 {
+		if i == 0 {
+			t.buf = append(t.buf, '{')
+		} else {
+			t.buf = append(t.buf, ',')
+		}
+		t.label(labels[i], labels[i+1])
 	}
-	return p.err
-}
-
-func (p *promWriter) str(s string)  { p.buf = append(p.buf, s...) }
-func (p *promWriter) int(v int64)   { p.buf = strconv.AppendInt(p.buf, v, 10) }
-func (p *promWriter) uint(v uint64) { p.buf = strconv.AppendUint(p.buf, v, 10) }
-func (p *promWriter) float(v float64) {
-	p.buf = strconv.AppendFloat(p.buf, v, 'g', -1, 64)
-}
-
-// header emits the HELP and TYPE lines for one metric family.
-func (p *promWriter) header(name, help, typ string) {
-	p.str("# HELP ")
-	p.str(name)
-	p.str(" ")
-	p.str(help)
-	p.str("\n# TYPE ")
-	p.str(name)
-	p.str(" ")
-	p.str(typ)
-	p.str("\n")
+	if len(labels) > 0 {
+		t.buf = append(t.buf, '}')
+	}
+	t.buf = append(t.buf, ' ')
+	switch v := v.(type) {
+	case uint64:
+		t.buf = strconv.AppendUint(t.buf, v, 10)
+	case uint32:
+		t.buf = strconv.AppendUint(t.buf, uint64(v), 10)
+	case int64:
+		t.buf = strconv.AppendInt(t.buf, v, 10)
+	case int:
+		t.buf = strconv.AppendInt(t.buf, int64(v), 10)
+	case float64:
+		t.buf = strconv.AppendFloat(t.buf, v, 'g', -1, 64)
+	default:
+		panic(fmt.Sprintf("metrics: unsupported sample value %T", v))
+	}
+	t.buf = append(t.buf, '\n')
 }
 
 // label appends one escaped label pair; Prometheus label values escape
 // backslash, double quote and newline.
-func (p *promWriter) label(first bool, key, val string) {
-	if !first {
-		p.buf = append(p.buf, ',')
-	}
-	p.str(key)
-	p.str(`="`)
+func (t *Text) label(key, val string) {
+	t.buf = append(t.buf, key...)
+	t.buf = append(t.buf, `="`...)
 	for i := 0; i < len(val); i++ {
 		switch c := val[i]; c {
 		case '\\':
-			p.str(`\\`)
+			t.buf = append(t.buf, `\\`...)
 		case '"':
-			p.str(`\"`)
+			t.buf = append(t.buf, `\"`...)
 		case '\n':
-			p.str(`\n`)
+			t.buf = append(t.buf, `\n`...)
 		default:
-			p.buf = append(p.buf, c)
+			t.buf = append(t.buf, c)
 		}
 	}
-	p.buf = append(p.buf, '"')
+	t.buf = append(t.buf, '"')
 }
 
-func writePrometheus(w io.Writer, s Snapshot) error {
-	p := &promWriter{w: w, buf: make([]byte, 0, 4096)}
-
-	routes := make([]string, 0, len(s.Routes))
-	for name := range s.Routes {
-		routes = append(routes, name)
+// Routes emits the per-route families: request counters, response
+// counters by status class, and the latency histogram.
+func (t *Text) Routes(routes map[string]RouteSnapshot) {
+	names := make([]string, 0, len(routes))
+	for name := range routes {
+		names = append(names, name)
 	}
-	sort.Strings(routes)
+	sort.Strings(names)
 
-	p.header("nutriserve_http_requests_total", "Requests received, by route.", "counter")
-	for _, rt := range routes {
-		p.str("nutriserve_http_requests_total{")
-		p.label(true, "route", rt)
-		p.str("} ")
-		p.uint(s.Routes[rt].Requests)
-		p.str("\n")
+	t.Header("nutriserve_http_requests_total", "Requests received, by route.", "counter")
+	for _, rt := range names {
+		t.Sample("nutriserve_http_requests_total", routes[rt].Requests, "route", rt)
 	}
 
-	p.header("nutriserve_http_responses_total", "Responses sent, by route and status class.", "counter")
-	for _, rt := range routes {
-		classes := make([]string, 0, len(s.Routes[rt].ByClass))
-		for c := range s.Routes[rt].ByClass {
+	t.Header("nutriserve_http_responses_total", "Responses sent, by route and status class.", "counter")
+	for _, rt := range names {
+		classes := make([]string, 0, len(routes[rt].ByClass))
+		for c := range routes[rt].ByClass {
 			classes = append(classes, c)
 		}
 		sort.Strings(classes)
 		for _, c := range classes {
-			p.str("nutriserve_http_responses_total{")
-			p.label(true, "route", rt)
-			p.label(false, "class", c)
-			p.str("} ")
-			p.uint(s.Routes[rt].ByClass[c])
-			p.str("\n")
+			t.Sample("nutriserve_http_responses_total", routes[rt].ByClass[c], "route", rt, "class", c)
 		}
 	}
 
-	p.header("nutriserve_http_request_duration_seconds", "Request latency, by route.", "histogram")
-	for _, rt := range routes {
-		lat := s.Routes[rt].Latency
+	const hist = "nutriserve_http_request_duration_seconds"
+	t.Header(hist, "Request latency, by route.", "histogram")
+	for _, rt := range names {
+		lat := routes[rt].Latency
 		var cum uint64
 		for _, b := range lat.Buckets {
 			cum += b.Count
-			p.str("nutriserve_http_request_duration_seconds_bucket{")
-			p.label(true, "route", rt)
-			p.str(`,le="`)
-			p.float(b.UpperMs / 1000)
-			p.str(`"} `)
-			p.uint(cum)
-			p.str("\n")
+			t.Sample(hist+"_bucket", cum, "route", rt, "le", strconv.FormatFloat(b.UpperMs/1000, 'g', -1, 64))
 		}
-		p.str("nutriserve_http_request_duration_seconds_bucket{")
-		p.label(true, "route", rt)
-		p.label(false, "le", "+Inf")
-		p.str("} ")
-		p.uint(lat.Count)
-		p.str("\n")
-		p.str("nutriserve_http_request_duration_seconds_sum{")
-		p.label(true, "route", rt)
-		p.str("} ")
-		p.float(lat.SumMs / 1000)
-		p.str("\n")
-		p.str("nutriserve_http_request_duration_seconds_count{")
-		p.label(true, "route", rt)
-		p.str("} ")
-		p.uint(lat.Count)
-		p.str("\n")
+		t.Sample(hist+"_bucket", lat.Count, "route", rt, "le", "+Inf")
+		t.Sample(hist+"_sum", lat.SumMs/1000, "route", rt)
+		t.Sample(hist+"_count", lat.Count, "route", rt)
 	}
-
-	p.header("nutriserve_http_in_flight", "Requests currently being served.", "gauge")
-	p.str("nutriserve_http_in_flight ")
-	p.int(s.InFlight)
-	p.str("\n")
-
-	p.header("nutriserve_http_shed_total", "Requests rejected by admission control.", "counter")
-	p.str("nutriserve_http_shed_total ")
-	p.uint(s.Shed)
-	p.str("\n")
-
-	p.header("nutriserve_batch_lines_total", "NDJSON lines answered on bulk streams.", "counter")
-	p.str("nutriserve_batch_lines_total ")
-	p.uint(s.Batch.Lines)
-	p.str("\n")
-
-	p.header("nutriserve_batch_line_errors_total", "Per-line errors reported in-stream on bulk streams.", "counter")
-	p.str("nutriserve_batch_line_errors_total ")
-	p.uint(s.Batch.LineErrors)
-	p.str("\n")
-
-	p.header("nutriserve_batch_windows_total", "Estimator windows processed by bulk streams.", "counter")
-	p.str("nutriserve_batch_windows_total ")
-	p.uint(s.Batch.Windows)
-	p.str("\n")
-
-	p.header("nutriserve_batch_streams_active", "Bulk streams currently held open.", "gauge")
-	p.str("nutriserve_batch_streams_active ")
-	p.int(s.Batch.Active)
-	p.str("\n")
-
-	return p.flush()
 }

@@ -1,11 +1,11 @@
 package metrics
 
-// Exposition-format conformance for WritePrometheus, checked with a
-// minimal text-format (0.0.4) parser rather than string matching: every
-// sample must belong to a declared family, HELP/TYPE must precede the
-// samples, histogram buckets must be cumulative and monotone with a
-// terminal le="+Inf" equal to _count, and every rendered value must
-// agree with the Snapshot the exposition claims to render.
+// Exposition-format conformance for Text, checked with the strict
+// promtest parser rather than string matching: every sample must belong
+// to a declared family, HELP/TYPE must precede the samples, histogram
+// buckets must be cumulative and monotone with a terminal le="+Inf"
+// equal to _count, and every rendered value must agree with the
+// Snapshot the exposition claims to render.
 
 import (
 	"bytes"
@@ -16,186 +16,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nutriprofile/internal/metrics/promtest"
 )
-
-type promSample struct {
-	name   string
-	labels map[string]string
-	value  float64
-}
-
-type promFamily struct {
-	help    string
-	typ     string
-	samples []promSample
-}
-
-// parseExposition is a strict parser for the subset of the text format
-// the registry emits. It fails the test on any malformed line, on
-// samples appearing before their family's HELP/TYPE header, and on a
-// TYPE without a preceding HELP.
-func parseExposition(t *testing.T, text string) map[string]*promFamily {
-	t.Helper()
-	fams := make(map[string]*promFamily)
-	var lastHelp string // family name of the pending HELP line
-	var current string  // family samples are currently allowed for
-	for ln, line := range strings.Split(text, "\n") {
-		fail := func(format string, args ...any) {
-			t.Helper()
-			t.Fatalf("line %d (%q): %s", ln+1, line, fmt.Sprintf(format, args...))
-		}
-		if line == "" {
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
-			name, help, ok := strings.Cut(rest, " ")
-			if !ok || name == "" || help == "" {
-				fail("malformed HELP")
-			}
-			if _, dup := fams[name]; dup {
-				fail("duplicate HELP for %s", name)
-			}
-			fams[name] = &promFamily{help: help}
-			lastHelp = name
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			name, typ, ok := strings.Cut(rest, " ")
-			if !ok {
-				fail("malformed TYPE")
-			}
-			if name != lastHelp {
-				fail("TYPE for %s not immediately preceded by its HELP", name)
-			}
-			switch typ {
-			case "counter", "gauge", "histogram":
-			default:
-				fail("unknown type %q", typ)
-			}
-			fams[name].typ = typ
-			current = name
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fail("unexpected comment")
-		}
-		s := parsePromSample(t, ln+1, line)
-		fam := fams[current]
-		if fam == nil {
-			fail("sample before any family header")
-		}
-		base := s.name
-		if fam.typ == "histogram" {
-			base = strings.TrimSuffix(base, "_bucket")
-			base = strings.TrimSuffix(base, "_sum")
-			base = strings.TrimSuffix(base, "_count")
-		}
-		if base != current {
-			fail("sample %s outside its family block (current %s)", s.name, current)
-		}
-		fam.samples = append(fam.samples, s)
-	}
-	return fams
-}
-
-func parsePromSample(t *testing.T, ln int, line string) promSample {
-	t.Helper()
-	fail := func(format string, args ...any) {
-		t.Helper()
-		t.Fatalf("line %d (%q): %s", ln, line, fmt.Sprintf(format, args...))
-	}
-	s := promSample{labels: map[string]string{}}
-	rest := line
-	if i := strings.IndexByte(rest, '{'); i >= 0 {
-		s.name = rest[:i]
-		rest = rest[i+1:]
-		for {
-			eq := strings.IndexByte(rest, '=')
-			if eq < 0 || len(rest) < eq+2 || rest[eq+1] != '"' {
-				fail("malformed label pair")
-			}
-			key := rest[:eq]
-			rest = rest[eq+2:]
-			var val strings.Builder
-			i := 0
-			for ; i < len(rest); i++ {
-				if rest[i] == '\\' {
-					i++
-					if i >= len(rest) {
-						fail("dangling escape")
-					}
-					switch rest[i] {
-					case '\\':
-						val.WriteByte('\\')
-					case '"':
-						val.WriteByte('"')
-					case 'n':
-						val.WriteByte('\n')
-					default:
-						fail("invalid escape \\%c", rest[i])
-					}
-					continue
-				}
-				if rest[i] == '"' {
-					break
-				}
-				val.WriteByte(rest[i])
-			}
-			if i >= len(rest) {
-				fail("unterminated label value")
-			}
-			if _, dup := s.labels[key]; dup {
-				fail("duplicate label %s", key)
-			}
-			s.labels[key] = val.String()
-			rest = rest[i+1:]
-			if strings.HasPrefix(rest, ",") {
-				rest = rest[1:]
-				continue
-			}
-			if strings.HasPrefix(rest, "} ") {
-				rest = rest[2:]
-				break
-			}
-			fail("malformed label list tail %q", rest)
-		}
-	} else {
-		name, v, ok := strings.Cut(rest, " ")
-		if !ok {
-			fail("sample without value")
-		}
-		s.name, rest = name, v
-	}
-	v, err := strconv.ParseFloat(rest, 64)
-	if err != nil {
-		fail("bad value: %v", err)
-	}
-	s.value = v
-	return s
-}
-
-// sampleValue finds the unique sample with the given name and labels.
-func sampleValue(t *testing.T, fams map[string]*promFamily, fam, name string, labels map[string]string) float64 {
-	t.Helper()
-	f := fams[fam]
-	if f == nil {
-		t.Fatalf("family %s not exposed", fam)
-	}
-outer:
-	for _, s := range f.samples {
-		if s.name != name || len(s.labels) != len(labels) {
-			continue
-		}
-		for k, v := range labels {
-			if s.labels[k] != v {
-				continue outer
-			}
-		}
-		return s.value
-	}
-	t.Fatalf("no sample %s%v in family %s", name, labels, fam)
-	return 0
-}
 
 // testRegistry builds a registry with a known mix: two routes (one with
 // an awkward name that needs label escaping), latencies spread across
@@ -219,36 +42,37 @@ func testRegistry() *Registry {
 	return g
 }
 
-func TestPrometheusExposition(t *testing.T) {
-	g := testRegistry()
-	snap := g.Snapshot()
-
+// render writes the per-route families of s, the exposition the
+// registry contributes to /metrics.
+func render(t *testing.T, s Snapshot) string {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := g.WritePrometheus(&buf); err != nil {
+	x := NewText(&buf)
+	x.Routes(s.Routes)
+	if err := x.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fams := parseExposition(t, buf.String())
+	return buf.String()
+}
+
+func TestPrometheusExposition(t *testing.T) {
+	snap := testRegistry().Snapshot()
+	fams := promtest.Parse(t, render(t, snap))
 
 	wantTypes := map[string]string{
 		"nutriserve_http_requests_total":           "counter",
 		"nutriserve_http_responses_total":          "counter",
 		"nutriserve_http_request_duration_seconds": "histogram",
-		"nutriserve_http_in_flight":                "gauge",
-		"nutriserve_http_shed_total":               "counter",
-		"nutriserve_batch_lines_total":             "counter",
-		"nutriserve_batch_line_errors_total":       "counter",
-		"nutriserve_batch_windows_total":           "counter",
-		"nutriserve_batch_streams_active":          "gauge",
 	}
 	for name, typ := range wantTypes {
 		f := fams[name]
 		if f == nil {
 			t.Fatalf("family %s missing from exposition", name)
 		}
-		if f.typ != typ {
-			t.Errorf("%s type %q, want %q", name, f.typ, typ)
+		if f.Type != typ {
+			t.Errorf("%s type %q, want %q", name, f.Type, typ)
 		}
-		if f.help == "" {
+		if f.Help == "" {
 			t.Errorf("%s has no HELP text", name)
 		}
 	}
@@ -256,41 +80,57 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Errorf("exposition has %d families, want %d", len(fams), len(wantTypes))
 	}
 
-	// Scalar families against the snapshot.
-	none := map[string]string{}
-	if v := sampleValue(t, fams, "nutriserve_http_in_flight", "nutriserve_http_in_flight", none); v != float64(snap.InFlight) {
-		t.Errorf("in_flight %v, want %d", v, snap.InFlight)
-	}
-	if v := sampleValue(t, fams, "nutriserve_http_shed_total", "nutriserve_http_shed_total", none); v != float64(snap.Shed) {
-		t.Errorf("shed %v, want %d", v, snap.Shed)
-	}
-	if v := sampleValue(t, fams, "nutriserve_batch_lines_total", "nutriserve_batch_lines_total", none); v != float64(snap.Batch.Lines) {
-		t.Errorf("batch lines %v, want %d", v, snap.Batch.Lines)
-	}
-	if v := sampleValue(t, fams, "nutriserve_batch_line_errors_total", "nutriserve_batch_line_errors_total", none); v != float64(snap.Batch.LineErrors) {
-		t.Errorf("batch line errors %v, want %d", v, snap.Batch.LineErrors)
-	}
-	if v := sampleValue(t, fams, "nutriserve_batch_windows_total", "nutriserve_batch_windows_total", none); v != float64(snap.Batch.Windows) {
-		t.Errorf("batch windows %v, want %d", v, snap.Batch.Windows)
-	}
-	if v := sampleValue(t, fams, "nutriserve_batch_streams_active", "nutriserve_batch_streams_active", none); v != float64(snap.Batch.Active) {
-		t.Errorf("batch active %v, want %d", v, snap.Batch.Active)
-	}
-
 	// Per-route counters — including the route whose name exercises all
 	// three label escapes (backslash, quote, newline).
 	for route, rs := range snap.Routes {
 		lbl := map[string]string{"route": route}
-		if v := sampleValue(t, fams, "nutriserve_http_requests_total", "nutriserve_http_requests_total", lbl); v != float64(rs.Requests) {
+		if v := promtest.Value(t, fams, "nutriserve_http_requests_total", "nutriserve_http_requests_total", lbl); v != float64(rs.Requests) {
 			t.Errorf("route %q requests %v, want %d", route, v, rs.Requests)
 		}
 		for class, n := range rs.ByClass {
 			cl := map[string]string{"route": route, "class": class}
-			if v := sampleValue(t, fams, "nutriserve_http_responses_total", "nutriserve_http_responses_total", cl); v != float64(n) {
+			if v := promtest.Value(t, fams, "nutriserve_http_responses_total", "nutriserve_http_responses_total", cl); v != float64(n) {
 				t.Errorf("route %q class %s %v, want %d", route, class, v, n)
 			}
 		}
 	}
+}
+
+// TestTextSample pins the sample primitives: integer types print as
+// integers and float64 in shortest 'g' form (so a family keeps the form
+// it was introduced with), labels print in the order given, and an
+// unsupported value type panics.
+func TestTextSample(t *testing.T) {
+	var buf bytes.Buffer
+	x := NewText(&buf)
+	x.Header("m", "Help text.", "gauge")
+	x.Sample("m", uint64(1234567), "k", "u64")
+	x.Sample("m", uint32(7), "k", "u32")
+	x.Sample("m", int64(-3), "k", "i64")
+	x.Sample("m", 42, "k", "int")
+	x.Sample("m", float64(1234567), "k", "f64", "z", "a")
+	x.Sample("m", 0.25)
+	if err := x.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP m Help text.\n# TYPE m gauge\n" +
+		`m{k="u64"} 1234567` + "\n" +
+		`m{k="u32"} 7` + "\n" +
+		`m{k="i64"} -3` + "\n" +
+		`m{k="int"} 42` + "\n" +
+		`m{k="f64",z="a"} 1.234567e+06` + "\n" +
+		"m 0.25\n"
+	if buf.String() != want {
+		t.Errorf("got\n%s\nwant\n%s", buf.String(), want)
+	}
+	promtest.Parse(t, buf.String())
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Sample accepted a string value")
+		}
+	}()
+	x.Sample("m", "1")
 }
 
 // TestPrometheusHistogram pins the histogram contract: buckets are
@@ -298,14 +138,8 @@ func TestPrometheusExposition(t *testing.T) {
 // bounds, the terminal le="+Inf" bucket equals _count (so overflow
 // observations are counted), and _sum is the snapshot sum in seconds.
 func TestPrometheusHistogram(t *testing.T) {
-	g := testRegistry()
-	snap := g.Snapshot()
-
-	var buf bytes.Buffer
-	if err := g.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fams := parseExposition(t, buf.String())
+	snap := testRegistry().Snapshot()
+	fams := promtest.Parse(t, render(t, snap))
 	f := fams["nutriserve_http_request_duration_seconds"]
 	if f == nil {
 		t.Fatal("histogram family missing")
@@ -315,13 +149,13 @@ func TestPrometheusHistogram(t *testing.T) {
 		var les []float64
 		var counts []float64
 		inf := math.NaN()
-		for _, s := range f.samples {
-			if s.name != "nutriserve_http_request_duration_seconds_bucket" || s.labels["route"] != route {
+		for _, s := range f.Samples {
+			if s.Name != "nutriserve_http_request_duration_seconds_bucket" || s.Labels["route"] != route {
 				continue
 			}
-			le := s.labels["le"]
+			le := s.Labels["le"]
 			if le == "+Inf" {
-				inf = s.value
+				inf = s.Value
 				continue
 			}
 			bound, err := strconv.ParseFloat(le, 64)
@@ -329,7 +163,7 @@ func TestPrometheusHistogram(t *testing.T) {
 				t.Fatalf("route %q: unparseable le %q", route, le)
 			}
 			les = append(les, bound)
-			counts = append(counts, s.value)
+			counts = append(counts, s.Value)
 		}
 		if len(les) != len(rs.Latency.Buckets) {
 			t.Fatalf("route %q: %d finite buckets exposed, snapshot has %d", route, len(les), len(rs.Latency.Buckets))
@@ -354,7 +188,7 @@ func TestPrometheusHistogram(t *testing.T) {
 			t.Fatalf("route %q has no le=\"+Inf\" bucket", route)
 		}
 		lbl := map[string]string{"route": route}
-		count := sampleValue(t, fams, "nutriserve_http_request_duration_seconds",
+		count := promtest.Value(t, fams, "nutriserve_http_request_duration_seconds",
 			"nutriserve_http_request_duration_seconds_count", lbl)
 		if inf != count {
 			t.Errorf("route %q le=+Inf %v != _count %v", route, inf, count)
@@ -365,7 +199,7 @@ func TestPrometheusHistogram(t *testing.T) {
 		if inf < counts[len(counts)-1] {
 			t.Errorf("route %q +Inf bucket %v below last finite bucket %v", route, inf, counts[len(counts)-1])
 		}
-		sum := sampleValue(t, fams, "nutriserve_http_request_duration_seconds",
+		sum := promtest.Value(t, fams, "nutriserve_http_request_duration_seconds",
 			"nutriserve_http_request_duration_seconds_sum", lbl)
 		if want := rs.Latency.SumMs / 1000; math.Abs(sum-want) > 1e-9 {
 			t.Errorf("route %q _sum %v, want %v", route, sum, want)
@@ -380,14 +214,7 @@ func TestPrometheusDeterministic(t *testing.T) {
 	g := testRegistry()
 	g.Route("/v1/recipe").Observe(200, time.Millisecond)
 	g.Route("/metrics").Observe(200, 50*time.Microsecond)
-	var a, b bytes.Buffer
-	if err := g.WritePrometheus(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if a, b := render(t, g.Snapshot()), render(t, g.Snapshot()); a != b {
 		t.Fatal("two idle scrapes differ")
 	}
 }
@@ -397,9 +224,10 @@ type failWriter struct{ err error }
 func (f failWriter) Write(p []byte) (int, error) { return 0, f.err }
 
 func TestPrometheusWriteError(t *testing.T) {
-	g := testRegistry()
 	want := errors.New("scrape socket closed")
-	if err := g.WritePrometheus(failWriter{err: want}); !errors.Is(err, want) {
+	x := NewText(failWriter{err: want})
+	x.Routes(testRegistry().Snapshot().Routes)
+	if err := x.Flush(); !errors.Is(err, want) {
 		t.Fatalf("got %v, want the writer's error", err)
 	}
 }
@@ -413,14 +241,10 @@ func TestPrometheusMicrosecondBuckets(t *testing.T) {
 	for _, d := range []time.Duration{5 * time.Microsecond, 7 * time.Microsecond, 30 * time.Microsecond, 300 * time.Microsecond} {
 		rt.Observe(200, d)
 	}
-	var buf bytes.Buffer
-	if err := g.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
 	var got []string
-	for _, s := range parseExposition(t, buf.String())["nutriserve_http_request_duration_seconds"].samples {
-		if s.name == "nutriserve_http_request_duration_seconds_bucket" {
-			got = append(got, fmt.Sprintf("%s=%v", s.labels["le"], s.value))
+	for _, s := range promtest.Parse(t, render(t, g.Snapshot()))["nutriserve_http_request_duration_seconds"].Samples {
+		if s.Name == "nutriserve_http_request_duration_seconds_bucket" {
+			got = append(got, fmt.Sprintf("%s=%v", s.Labels["le"], s.Value))
 		}
 	}
 	want := []string{

@@ -112,9 +112,6 @@ func (r *Route) Observe(status int, d time.Duration) {
 	r.latency.Observe(d)
 }
 
-// Requests returns the route's lifetime request count.
-func (r *Route) Requests() uint64 { return r.requests.Load() }
-
 // RouteSnapshot is a point-in-time copy of one route's counters.
 type RouteSnapshot struct {
 	Requests uint64            `json:"requests"`

@@ -14,7 +14,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,11 +22,7 @@ import (
 
 	"nutriprofile/internal/core"
 	"nutriprofile/internal/jsonx"
-	"nutriprofile/internal/match"
-	"nutriprofile/internal/memo"
-	"nutriprofile/internal/metrics"
 	"nutriprofile/internal/nutrition"
-	"nutriprofile/internal/pipeline"
 	"nutriprofile/internal/yield"
 )
 
@@ -289,53 +284,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	buf.B = appendHealthzResponse(buf.B, &resp)
 	writeRendered(w, http.StatusOK, buf.B)
 	jsonx.PutBuffer(buf)
-}
-
-// StatsResponse is the GET /v1/stats body: the full observability
-// surface of one serving process. Stats is off the hot path and keeps
-// encoding/json — its shape churns with every new counter, and pinning
-// a hand encoder to it would buy nothing.
-type StatsResponse struct {
-	Memo struct {
-		Phrase memo.Stats `json:"phrase"`
-		Match  memo.Stats `json:"match"`
-	} `json:"memo"`
-	Shard   core.ShardStats      `json:"shard"`
-	Scratch pipeline.PoolStats   `json:"scratch_pool"`
-	Matcher match.MatcherStats   `json:"matcher"`
-	DB      core.SnapshotStats   `json:"db"`
-	HTTP    metrics.Snapshot     `json:"http"`
-	Runtime metrics.RuntimeStats `json:"runtime"`
-}
-
-// handleMetrics serves the registry in Prometheus text format — the
-// same counters as /v1/stats HTTP section, rendered for scrape stacks
-// — followed by the estimator's memo-cache families (hits, misses,
-// evictions, admission outcomes, and the derived hit-ratio gauge) and
-// the matcher-engine families (index shape plus the pruned ranking
-// engine's work-avoidance counters), snapshotted at scrape time. See
-// memo_metrics.go and match_metrics.go.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", metrics.PrometheusContentType())
-	if err := s.reg.WritePrometheus(w); err != nil {
-		return
-	}
-	phrase, match := s.est.CacheStats()
-	if err := writeMemoMetrics(w, phrase, match); err != nil {
-		return
-	}
-	_ = writeMatchMetrics(w, s.est.MatcherStats())
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	var out StatsResponse
-	out.Memo.Phrase, out.Memo.Match = s.est.CacheStats()
-	out.Shard = s.est.ShardStats()
-	out.Scratch = pipeline.Stats()
-	out.Matcher = s.est.MatcherStats()
-	out.DB = s.est.SnapshotStats()
-	out.HTTP = s.reg.Snapshot()
-	out.Runtime = s.runtime.Sample()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"nutriprofile/internal/core"
+	"nutriprofile/internal/metrics/promtest"
 	"nutriprofile/internal/usda"
 	"nutriprofile/internal/usda/bake"
 )
@@ -169,6 +170,15 @@ func TestReloadSwapsDatabase(t *testing.T) {
 	}
 	if stats.DB.Version != 2 || stats.DB.Source != img {
 		t.Fatalf("stats db = %+v", stats.DB)
+	}
+	// So does /metrics, labeled with the image it came from.
+	fams := scrape(t, s)
+	src := map[string]string{"source": img}
+	if v := promtest.Value(t, fams, "nutriserve_db_snapshot_version", "nutriserve_db_snapshot_version", src); v != 2 {
+		t.Fatalf("nutriserve_db_snapshot_version = %v, want 2", v)
+	}
+	if v := promtest.Value(t, fams, "nutriserve_db_foods", "nutriserve_db_foods", nil); v != float64(db2.Len()) {
+		t.Fatalf("nutriserve_db_foods = %v, want %d", v, db2.Len())
 	}
 }
 
