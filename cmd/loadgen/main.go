@@ -79,7 +79,7 @@ func main() {
 	metricsCheck := flag.Bool("metrics-check", false, "scrape /metrics before and after and verify the batch counter deltas")
 	zipfS := flag.Float64("zipf", 0, "Zipf skew s for interactive phrase/recipe popularity (0: uniform)")
 	minHitRatio := flag.Float64("min-hit-ratio", 0, "fail if the server's phrase-cache hit ratio over the run falls below this (scrapes /metrics; 0 disables)")
-	cold := flag.Bool("cold", false, "salt every bulk phrase with a unique token: 100% cache misses, so the run measures the matcher-bound cold path (-min-rps becomes the cold-path recipes/s floor)")
+	cold := flag.Bool("cold", false, "salt every bulk phrase with a unique token so every bulk phrase misses the phrase cache (-min-rps becomes the recipes/s floor of that path); the NER drops the salt from the match query, so about 99.6% of match-cache lookups still hit and the run is not matcher-bound (nutribench's bulk-longtail-sr26 workload is)")
 	flag.Parse()
 
 	n := *recipes
@@ -113,8 +113,12 @@ func main() {
 		// -cold salts the wire copy only: every bulk phrase gets a
 		// globally unique (out-of-vocabulary) trailing token, so no two
 		// lines share a normalized token stream and every single phrase
-		// misses the phrase cache — the matcher pays full ranking cost
-		// for the whole corpus. The interactive mix and samples keep the
+		// misses the phrase cache and runs the NLP front-end. The NER
+		// does not tag the salt token as part of the name, so the match
+		// query is the unsalted one: over the salted paper corpus about
+		// 99.6% of match-cache lookups still hit, and ranking cost stays
+		// small. nutribench's bulk-longtail-sr26 workload is the
+		// matcher-bound run. The interactive mix and samples keep the
 		// unsalted phrases.
 		wire := line
 		if *cold {
@@ -151,7 +155,7 @@ func main() {
 	}
 	mode := "warm"
 	if *cold {
-		mode = "cold (salted, 100% miss)"
+		mode = "cold (salted: phrase cache misses, match cache mostly hits)"
 	}
 	fmt.Printf("loadgen: corpus ready: %d recipes across %d bulk streams (%d interactive workers, zipf s=%g, %s)\n",
 		total, *bulk, *interactive, *zipfS, mode)

@@ -8,11 +8,12 @@ package core
 // corpus-scale runs without giving up determinism. DESIGN.md §12
 // records why lines within a recipe are not dispatched in parallel.
 //
-// Workers run on estimator-owned environments (scratch + pinned match
-// session) rather than sync.Pool scratches: pool per-P caches drain
-// under GC and goroutine migration, and every drained checkout re-warms
-// a cold scratch — the measured allocs/op inflation of the
-// oversubscribed parallel path.
+// Every entry point — single phrase, single recipe, recipe batch and
+// the unit-statistics pass — runs on estimator-owned worker
+// environments (scratch + pinned match session) from one bounded free
+// list, not sync.Pool scratches: pool per-P caches drain under GC and
+// goroutine migration, and every drained checkout re-warms a cold
+// environment (DESIGN.md §12 has the measurement).
 
 import (
 	"context"
@@ -35,102 +36,87 @@ const maxFreeEnvs = 64
 
 // env is one worker environment: the per-goroutine NLP scratch arena
 // plus a match session pinned to one matcher (its own scoring arena).
-// Environments are checked out once per worker per batch and returned
-// warm; m records which matcher the session belongs to so a checkout
-// after a snapshot swap re-pins instead of scoring against the retired
-// index.
+// Environments are checked out once per phrase, recipe or batch worker
+// and returned warm; m records which matcher the session belongs to so
+// a checkout after a snapshot swap re-pins instead of scoring against
+// the retired index.
 type env struct {
-	sc   *pipeline.Scratch
-	sess *match.Session
-	m    *match.Matcher
+	sc      pipeline.Scratch
+	sess    *match.Session
+	m       *match.Matcher
+	phrases uint64 // phrases estimated since checkout; putEnv adds them to EnvStats
 }
 
-// worker is the per-batch-worker state: its environment and the
-// batch-local phrase count that flushes on release.
-type worker struct {
-	env     *env
-	phrases uint64 // phrases estimated by this worker this batch
-}
-
-// envPool is the Estimator's worker-environment free list and the
-// batched-flush stat aggregates; embedded by value.
+// envPool is the Estimator's worker-environment free list and its
+// counters; embedded by value.
 type envPool struct {
+	// Every estimate takes envMu twice from whichever core it runs on.
+	// The pad keeps that written cache line apart from the estimator's
+	// read-mostly fields (snapshot pointer, options, cache pointers),
+	// which every estimate reads too.
+	_        [64]byte
 	envMu    sync.Mutex
 	freeEnvs []*env
-	envsMade uint64 // lifetime environments created, under envMu
-
-	// Workers accumulate locally and Add once per batch.
-	phrasesDone atomic.Uint64
-	flushes     atomic.Uint64
+	envStats EnvStats // under envMu
 }
 
-// ShardStats is the observability snapshot of the batch worker layer
-// (nutriserve's GET /v1/stats exposes it as "shard").
-type ShardStats struct {
-	Phrases       uint64 `json:"phrases"`        // phrases estimated through batch workers
-	WorkerFlushes uint64 `json:"worker_flushes"` // per-worker batched stat flushes
-	Envs          uint64 `json:"envs"`           // worker environments ever created
+// EnvStats is the observability snapshot of the worker-environment
+// free list (nutriserve's GET /v1/stats exposes it as "env").
+type EnvStats struct {
+	Checkouts uint64 `json:"checkouts"` // environment checkouts: one per phrase, recipe or batch worker
+	Created   uint64 `json:"created"`   // environments ever created
+	Phrases   uint64 `json:"phrases"`   // phrases estimated on environments
 }
 
-// ShardStats reports the batch worker layer's counters. Totals are
-// exact once in-flight batches drain (each worker flushes exactly once).
-func (e *Estimator) ShardStats() ShardStats {
+// EnvStats reports the free list's counters. Phrases is exact once
+// in-flight calls drain (each checkout adds its count on return).
+func (e *Estimator) EnvStats() EnvStats {
 	e.envMu.Lock()
-	envs := e.envsMade
-	e.envMu.Unlock()
-	return ShardStats{
-		Phrases:       e.phrasesDone.Load(),
-		WorkerFlushes: e.flushes.Load(),
-		Envs:          envs,
-	}
+	defer e.envMu.Unlock()
+	return e.envStats
 }
 
 // getEnv checks a worker environment out of the estimator-owned free
 // list, creating one when the list is empty. LIFO: the most recently
-// returned (warmest) environment is reused first. snap is the batch's
+// returned (warmest) environment is reused first. snap is the caller's
 // pinned snapshot; an environment whose session was pinned to a
 // now-retired matcher is re-pinned before reuse, so a worker never
 // scores against a different index than the snapshot it estimates with.
 func (e *Estimator) getEnv(snap *Snapshot) *env {
 	e.envMu.Lock()
-	if n := len(e.freeEnvs); n > 0 {
-		v := e.freeEnvs[n-1]
-		e.freeEnvs[n-1] = nil
-		e.freeEnvs = e.freeEnvs[:n-1]
+	e.envStats.Checkouts++
+	n := len(e.freeEnvs)
+	if n == 0 {
+		e.envStats.Created++
 		e.envMu.Unlock()
-		if v.m != snap.matcher {
-			v.sess.Close()
-			v.sess = snap.matcher.NewSession()
-			v.m = snap.matcher
-		}
-		return v
+		return &env{sess: snap.matcher.NewSession(), m: snap.matcher}
 	}
-	e.envsMade++
+	w := e.freeEnvs[n-1]
+	e.freeEnvs[n-1] = nil
+	e.freeEnvs = e.freeEnvs[:n-1]
 	e.envMu.Unlock()
-	return &env{sc: new(pipeline.Scratch), sess: snap.matcher.NewSession(), m: snap.matcher}
+	if w.m != snap.matcher {
+		w.sess.Close()
+		w.sess, w.m = snap.matcher.NewSession(), snap.matcher
+	}
+	return w
 }
 
-// putEnv returns an environment; beyond maxFreeEnvs it is dismantled
-// (the session's arena goes back to the matcher pool) and dropped.
-func (e *Estimator) putEnv(v *env) {
+// putEnv returns an environment and adds its phrase count to the
+// totals: one locked update per checkout, so the hot path counts in a
+// plain field. Beyond maxFreeEnvs the environment is dismantled (the
+// session's arena goes back to the matcher pool) and dropped.
+func (e *Estimator) putEnv(w *env) {
 	e.envMu.Lock()
+	e.envStats.Phrases += w.phrases
+	w.phrases = 0
 	if len(e.freeEnvs) < maxFreeEnvs {
-		e.freeEnvs = append(e.freeEnvs, v)
+		e.freeEnvs = append(e.freeEnvs, w)
 		e.envMu.Unlock()
 		return
 	}
 	e.envMu.Unlock()
-	v.sess.Close()
-}
-
-// flushWorker performs the batched stats flush: one Add per counter per
-// worker per batch, then returns the environment.
-func (e *Estimator) flushWorker(w *worker) {
-	if w.phrases != 0 {
-		e.phrasesDone.Add(w.phrases)
-	}
-	e.flushes.Add(1)
-	e.putEnv(w.env)
+	w.sess.Close()
 }
 
 // normWorkers clamps a requested worker count: <= 0 selects
@@ -152,22 +138,22 @@ func normWorkers(workers, items int) int {
 // pool. Indices are handed out by an atomic counter, so the pool stays
 // busy even when per-item cost is skewed (cache hits vs full matches).
 // Each worker checks one environment out of the estimator's free list —
-// pinned to snap's matcher — and reuses it for every index it claims,
-// flushing its stats once on exit. Once ctx is done, workers stop
-// claiming new indices and the call returns ctx's error.
-func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, workers int, fn func(int, *worker)) error {
+// pinned to snap's matcher — and reuses it for every index it claims.
+// Once ctx is done, workers stop claiming new indices and the call
+// returns ctx's error.
+func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, workers int, fn func(int, *env)) error {
 	workers = normWorkers(workers, n)
 	done := ctx.Done()
 	if workers == 1 {
-		w := worker{env: e.getEnv(snap)}
-		defer e.flushWorker(&w)
+		w := e.getEnv(snap)
+		defer e.putEnv(w)
 		for i := 0; i < n; i++ {
 			select {
 			case <-done:
 				return ctx.Err()
 			default:
 			}
-			fn(i, &w)
+			fn(i, w)
 		}
 		return nil
 	}
@@ -177,8 +163,8 @@ func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, work
 	for range workers {
 		go func() {
 			defer wg.Done()
-			w := worker{env: e.getEnv(snap)}
-			defer e.flushWorker(&w)
+			w := e.getEnv(snap)
+			defer e.putEnv(w)
 			for {
 				select {
 				case <-done:
@@ -189,7 +175,7 @@ func (e *Estimator) forEachIndexCtx(ctx context.Context, snap *Snapshot, n, work
 				if i >= n {
 					return
 				}
-				fn(i, &w)
+				fn(i, w)
 			}
 		}()
 	}
@@ -221,7 +207,7 @@ type RecipeOutcome struct {
 // EstimateRecipesInto. ingredients is the caller-provided result
 // destination, len(r.Phrases) long. A done ctx stops the recipe at its
 // next line with ctx's error as the outcome.
-func (e *Estimator) estimateRecipeWorker(ctx context.Context, v view, r RecipeInput, w *worker, ingredients []IngredientResult) RecipeOutcome {
+func (e *Estimator) estimateRecipeWorker(ctx context.Context, v view, r RecipeInput, w *env, ingredients []IngredientResult) RecipeOutcome {
 	if len(r.Phrases) == 0 {
 		return RecipeOutcome{Err: errors.New("core: recipe has no ingredients")}
 	}
@@ -235,7 +221,7 @@ func (e *Estimator) estimateRecipeWorker(ctx context.Context, v view, r RecipeIn
 			return RecipeOutcome{Err: ctx.Err()}
 		default:
 		}
-		ingredients[i] = e.estimateCached(v, p, w.env.sc, w.env.sess)
+		ingredients[i] = e.estimateCached(v, p, w)
 		w.phrases++
 	}
 	res := aggregateRecipe(ingredients, r.Servings)
@@ -323,18 +309,18 @@ func (e *Estimator) EstimateRecipesInto(ctx context.Context, recipes []RecipeInp
 		// goroutines), which would cost one heap allocation per window —
 		// the difference between the bulk hot path's zero-alloc pin and
 		// almost-zero.
-		w := worker{env: e.getEnv(v.snap)}
-		defer e.flushWorker(&w)
+		w := e.getEnv(v.snap)
+		defer e.putEnv(w)
 		for i := range recipes {
 			dst := out[i].Result.Ingredients
-			out[i] = e.estimateRecipeWorker(ctx, v, recipes[i], &w, dst[:len(recipes[i].Phrases)])
+			out[i] = e.estimateRecipeWorker(ctx, v, recipes[i], w, dst[:len(recipes[i].Phrases)])
 			if out[i].Err != nil && ctx.Err() != nil {
 				return ctx.Err()
 			}
 		}
 		return nil
 	}
-	return e.forEachIndexCtx(ctx, v.snap, len(recipes), workers, func(i int, w *worker) {
+	return e.forEachIndexCtx(ctx, v.snap, len(recipes), workers, func(i int, w *env) {
 		dst := out[i].Result.Ingredients
 		out[i] = e.estimateRecipeWorker(ctx, v, recipes[i], w, dst[:len(recipes[i].Phrases)])
 	})

@@ -101,10 +101,10 @@ func TestShardedBatchStorm32(t *testing.T) {
 	wg.Wait()
 }
 
-// TestShardStatsFlushTotals: workers accumulate stats locally and flush
-// once per batch; the striped aggregates must still sum to the exact
-// true totals once all batches drain — 32 goroutines, no lost updates.
-func TestShardStatsFlushTotals(t *testing.T) {
+// TestEnvStatsFlushTotals: environments count phrases in a plain field
+// and add them to the totals once per checkout; the totals must still
+// be exact once all batches drain — 32 goroutines, no lost updates.
+func TestEnvStatsFlushTotals(t *testing.T) {
 	inputs := stormInputs(t)
 	lines := 0
 	for _, in := range inputs {
@@ -126,15 +126,29 @@ func TestShardStatsFlushTotals(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := e.ShardStats()
+	st := e.EnvStats()
 	if want := uint64(goroutines * lines); st.Phrases != want {
 		t.Errorf("Phrases = %d, want exactly %d", st.Phrases, want)
 	}
-	if want := uint64(goroutines * workersPer); st.WorkerFlushes != want {
-		t.Errorf("WorkerFlushes = %d, want exactly %d (one per worker per batch)", st.WorkerFlushes, want)
+	if want := uint64(goroutines * workersPer); st.Checkouts != want {
+		t.Errorf("Checkouts = %d, want exactly %d (one per worker per batch)", st.Checkouts, want)
 	}
-	if st.Envs == 0 || st.Envs > goroutines*uint64(workersPer) {
-		t.Errorf("Envs = %d, want in [1, %d]", st.Envs, goroutines*workersPer)
+	if st.Created == 0 || st.Created > goroutines*uint64(workersPer) {
+		t.Errorf("Created = %d, want in [1, %d]", st.Created, goroutines*workersPer)
+	}
+
+	// Single-phrase and single-recipe calls check out one environment
+	// each.
+	e.EstimateIngredient("2 cups flour")
+	if _, err := e.EstimateRecipe(context.Background(), inputs[0]); err != nil {
+		t.Fatal(err)
+	}
+	after := e.EnvStats()
+	if got := after.Checkouts - st.Checkouts; got != 2 {
+		t.Errorf("Checkouts grew by %d over one phrase and one recipe, want 2", got)
+	}
+	if got, want := after.Phrases-st.Phrases, uint64(1+len(inputs[0].Phrases)); got != want {
+		t.Errorf("Phrases grew by %d, want %d", got, want)
 	}
 }
 

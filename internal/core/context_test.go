@@ -56,7 +56,7 @@ func TestEstimateRecipeContextCancelled(t *testing.T) {
 			t.Fatalf("workers=%d: err %v, want context.Canceled", workers, err)
 		}
 	}
-	if st := e.ShardStats(); st.Phrases != 0 {
+	if st := e.EnvStats(); st.Phrases != 0 {
 		t.Fatalf("%d phrases estimated on a cancelled context", st.Phrases)
 	}
 }
@@ -70,7 +70,7 @@ func TestEstimateRecipeContextCancelMidway(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int64
-	err := e.forEachIndexCtx(ctx, e.pin().snap, n, 4, func(i int, _ *worker) {
+	err := e.forEachIndexCtx(ctx, e.pin().snap, n, 4, func(i int, _ *env) {
 		if ran.Add(1) == 8 {
 			cancel()
 		}

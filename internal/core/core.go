@@ -255,31 +255,33 @@ type RecipeResult struct {
 // (tokenized) phrase: two phrases with identical token streams share
 // one cached computation. Returned results must be treated as
 // read-only when caching is enabled — they are shared with every other
-// caller that hits the same entry.
+// caller that hits the same entry. The phrase may be backed by a
+// caller-reused buffer (the serving layer passes views of its request
+// bytes): the caches never retain it past the call.
 func (e *Estimator) EstimateIngredient(phrase string) IngredientResult {
-	sc := pipeline.Get()
-	defer pipeline.Put(sc)
-	return e.estimateCached(e.pin(), phrase, sc, nil)
+	v := e.pin()
+	w := e.getEnv(v.snap)
+	r := e.estimateCached(v, phrase, w)
+	w.phrases++
+	e.putEnv(w)
+	return r
 }
 
-// estimateCached is EstimateIngredient on a caller-owned scratch: the
-// batch workers hold one scratch for their whole batch instead of
-// cycling the pool per phrase. The cache key is the normalized token
-// stream (rendered in the scratch, probed without allocating), the exact
-// input every downstream stage consumes. Its FNV-1a hash is computed
-// once and reused for the probe and the store.
-//
-// sess, when non-nil, is the worker's pinned match session; nil callers
-// match through the pinned snapshot's pool-backed matcher entry points.
+// estimateCached is the memoized pipeline on a checked-out worker
+// environment. The cache key is the normalized token stream (rendered
+// in the scratch, probed without allocating), the exact input every
+// downstream stage consumes. Its FNV-1a hash is computed once and
+// reused for the probe and the store.
 //
 // v is the request's pinned read context. Cache stores go through
 // PutHashGen with the generation captured at pin time, so a result
 // computed against a snapshot that a concurrent Install/ObserveUnits
 // has since retired is dropped instead of cached (snapshot.go).
-func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) IngredientResult {
+func (e *Estimator) estimateCached(v view, phrase string, w *env) IngredientResult {
 	if e.phraseCache == nil {
-		return e.estimateIngredient(v, phrase, sc, sess)
+		return e.estimateIngredient(v, phrase, w)
 	}
+	sc := &w.sc
 	sc.Tokenize(phrase)
 	key := sc.PhraseKey()
 	h := memo.Hash(key)
@@ -289,7 +291,7 @@ func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, 
 		r.Phrase = phrase
 		return r
 	}
-	r := e.estimateTokenized(v, phrase, sc, sess)
+	r := e.estimateTokenized(v, phrase, w)
 	// key still aliases the scratch (nothing downstream of Tokenize
 	// touches the phrase-key buffer); materialize it only on this miss
 	// path. Scrub the verbatim phrase from the stored copy: the cache is
@@ -301,62 +303,47 @@ func (e *Estimator) estimateCached(v view, phrase string, sc *pipeline.Scratch, 
 	return r
 }
 
-// EstimateIngredientScratch is EstimateIngredient on a caller-owned
-// scratch, for callers (like the serving layer) that pool their own
-// pipeline scratches across requests. The phrase may be backed by a
-// caller-reused buffer: the caches never retain it past the call. The
-// same read-only contract as EstimateIngredient applies to the returned
-// result.
-func (e *Estimator) EstimateIngredientScratch(phrase string, sc *pipeline.Scratch) IngredientResult {
-	return e.estimateCached(e.pin(), phrase, sc, nil)
-}
-
 // matchQuery runs the configured description match, memoized when the
 // match cache is enabled. Match results depend on the pinned snapshot's
 // matcher, so stores carry the generation captured at pin time and a
 // swap purges the cache. The key hash is computed once and shared by
 // the shard probe and the store.
-func (e *Estimator) matchQuery(v view, q match.Query, sc *pipeline.Scratch, sess *match.Session) (match.Result, bool) {
+func (e *Estimator) matchQuery(v view, q match.Query, w *env) (match.Result, bool) {
 	if e.matchCache == nil {
-		return e.rawMatch(v, q, sess)
+		return e.rawMatch(q, w.sess)
 	}
-	key := sc.JoinKey(q.Name, q.State, q.Temp, q.DryFresh)
+	key := w.sc.JoinKey(q.Name, q.State, q.Temp, q.DryFresh)
 	kh := memo.Hash(key)
 	if h, ok := e.matchCache.GetBytesHash(kh, key); ok {
 		return h.res, h.ok
 	}
-	res, ok := e.rawMatch(v, q, sess)
+	res, ok := e.rawMatch(q, w.sess)
 	e.matchCache.PutHashGen(kh, string(key), matchHit{res: res, ok: ok}, v.matchGen)
 	return res, ok
 }
 
-// rawMatch dispatches to the worker's pinned session when one is given,
-// otherwise to the pinned snapshot's pool-backed matcher entry points.
-func (e *Estimator) rawMatch(v view, q match.Query, sess *match.Session) (match.Result, bool) {
-	if sess != nil {
-		if e.opts.FuzzyMatch {
-			return sess.MatchFuzzy(q)
-		}
-		return sess.Match(q)
-	}
+// rawMatch runs the configured description match on the worker's
+// session, which getEnv pinned to the request's snapshot matcher.
+func (e *Estimator) rawMatch(q match.Query, sess *match.Session) (match.Result, bool) {
 	if e.opts.FuzzyMatch {
-		return v.snap.matcher.MatchFuzzy(q)
+		return sess.MatchFuzzy(q)
 	}
-	return v.snap.matcher.Match(q)
+	return sess.Match(q)
 }
 
 // estimateIngredient is the uncached pipeline.
-func (e *Estimator) estimateIngredient(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) IngredientResult {
-	sc.Tokenize(phrase)
-	return e.estimateTokenized(v, phrase, sc, sess)
+func (e *Estimator) estimateIngredient(v view, phrase string, w *env) IngredientResult {
+	w.sc.Tokenize(phrase)
+	return e.estimateTokenized(v, phrase, w)
 }
 
 // estimateTokenized runs the pipeline over the phrase already tokenized
-// into sc (by estimateCached or estimateIngredient). Everything resolves
-// against v's snapshot: matcher and food lookup can never mix databases.
-func (e *Estimator) estimateTokenized(v view, phrase string, sc *pipeline.Scratch, sess *match.Session) IngredientResult {
+// into w's scratch (by estimateCached or estimateIngredient). Everything
+// resolves against v's snapshot: matcher and food lookup can never mix
+// databases.
+func (e *Estimator) estimateTokenized(v view, phrase string, w *env) IngredientResult {
 	res := IngredientResult{Phrase: phrase}
-	res.Extraction = sc.Extract(e.tagger)
+	res.Extraction = w.sc.Extract(e.tagger)
 	if res.Extraction.Name == "" {
 		return res
 	}
@@ -367,7 +354,7 @@ func (e *Estimator) estimateTokenized(v view, phrase string, sc *pipeline.Scratc
 		Temp:     res.Extraction.Temp,
 		DryFresh: res.Extraction.DryFresh,
 	}
-	m, ok := e.matchQuery(v, q, sc, sess)
+	m, ok := e.matchQuery(v, q, w)
 	if !ok {
 		return res
 	}
@@ -375,7 +362,7 @@ func (e *Estimator) estimateTokenized(v view, phrase string, sc *pipeline.Scratc
 	food, _ := v.snap.db.ByNDB(m.NDB)
 
 	res.Quantity = e.quantity(res.Extraction.Quantity)
-	e.resolveUnit(&res, food, sc)
+	e.resolveUnit(&res, food, &w.sc)
 	if res.Grams > 0 {
 		res.Profile = food.Per100g.ForGrams(res.Grams)
 		res.Mapped = true
@@ -587,11 +574,12 @@ func (e *Estimator) ObserveUnits(phrases []string) {
 	}
 	v := e.pin()
 	observations := make([]obs, len(phrases))
-	e.forEachIndexCtx(context.Background(), v.snap, len(phrases), 0, func(i int, w *worker) {
+	e.forEachIndexCtx(context.Background(), v.snap, len(phrases), 0, func(i int, w *env) {
 		// Bypass the phrase cache: a cached most-frequent-unit result
 		// never contributes, and observation must not pollute the cache
 		// with entries that this very pass is about to invalidate.
-		r := e.estimateIngredient(v, phrases[i], w.env.sc, w.env.sess)
+		r := e.estimateIngredient(v, phrases[i], w)
+		w.phrases++
 		if !r.Matched || r.Unit == "" {
 			return
 		}

@@ -2,8 +2,10 @@ package core
 
 // Recipe-level metamorphic relations over a generated corpus: a recipe
 // is the sum of its lines (§II), so its totals cannot depend on line
-// order, the per-serving profile times the servings is the total, and
-// the single-recipe and batch entry points are one computation.
+// order, the per-serving profile times the servings is the total, the
+// single-phrase, single-recipe and batch entry points are one
+// computation, and a hot swap to an identical database changes no
+// answer.
 
 import (
 	"context"
@@ -112,5 +114,42 @@ func TestRecipeMetamorphic(t *testing.T) {
 					workers, i, o.Result, single[i])
 			}
 		}
+	}
+
+	// Interactive equals batch: every line of a recipe is the
+	// single-phrase estimate of that line.
+	checkLines := func(when string) {
+		t.Helper()
+		for i, res := range single {
+			for j, want := range res.Ingredients {
+				if got := e.EstimateIngredient(inputs[i].Phrases[j]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: recipe %d line %d: EstimateIngredient differs from EstimateRecipe:\n got: %+v\nwant: %+v",
+						when, i, j, got, want)
+				}
+			}
+		}
+	}
+	checkLines("before swap")
+
+	// Hot swap: installing an identical database purges both caches and
+	// builds a new matcher, so every environment's session is re-pinned
+	// on its next checkout. Each entry point then recomputes its answers
+	// from scratch, and none may move.
+	swap := func() {
+		t.Helper()
+		if _, err := e.Install(usda.Seed(), nil, "identical"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	swap()
+	for i, o := range e.EstimateRecipes(inputs, 4) {
+		if o.Err != nil || !reflect.DeepEqual(o.Result, single[i]) {
+			t.Fatalf("after swap: recipe %d differs (err %v):\n got: %+v\nwant: %+v", i, o.Err, o.Result, single[i])
+		}
+	}
+	swap()
+	checkLines("after swap")
+	if w := e.freeEnvs[len(e.freeEnvs)-1]; w.m != e.Matcher() {
+		t.Fatal("the last environment returned is still pinned to a retired matcher")
 	}
 }

@@ -36,7 +36,13 @@ func refEstimateIngredient(e *Estimator, phrase string) IngredientResult {
 		Temp:     res.Extraction.Temp,
 		DryFresh: res.Extraction.DryFresh,
 	}
-	m, ok := e.rawMatch(e.pin(), q, nil)
+	// The reference matches through the matcher's pool-backed entry
+	// points, not a pinned session.
+	matchFn := e.Matcher().Match
+	if e.opts.FuzzyMatch {
+		matchFn = e.Matcher().MatchFuzzy
+	}
+	m, ok := matchFn(q)
 	if !ok {
 		return res
 	}

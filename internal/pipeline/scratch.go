@@ -2,11 +2,12 @@
 // front-end (tokenize → POS-tag → lemmatize → NER → unit lookup) runs
 // in. One Scratch holds every buffer and memo the per-phrase hot path
 // needs, so a warm Scratch processes a phrase with zero heap
-// allocations; core.Estimator checks one out per batch worker and reuses
-// it across the worker's whole shard.
+// allocations. This package keeps no pool: each of core.Estimator's
+// worker environments owns one Scratch, and the estimator's bounded
+// free list hands environments out.
 //
 // Ownership model (DESIGN.md §10): a Scratch belongs to exactly one
-// goroutine between Get and Put. Results that outlive the phrase
+// goroutine between checkout and return. Results that outlive the phrase
 // (Extraction fields, cache keys) are copied out of the arena before the
 // next phrase reuses it; everything else (token slices, tag/lemma
 // buffers, Viterbi arrays, key buffers) aliases the arena and is valid
@@ -15,8 +16,6 @@ package pipeline
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"nutriprofile/internal/lemma"
 	"nutriprofile/internal/ner"
@@ -185,38 +184,3 @@ func (sc *Scratch) JoinKey(fields ...string) []byte {
 	sc.qkeyBuf = b
 	return b
 }
-
-// pool recycles scratches across batches. Scratches are never reset on
-// Put: the memo maps are the warm state the next batch wants, and every
-// per-phrase buffer is re-initialized by Tokenize. No finalizers — an
-// abandoned Scratch is plain garbage (DESIGN.md §10).
-var pool = sync.Pool{New: func() any { poolMisses.Add(1); return new(Scratch) }}
-
-var (
-	poolGets   atomic.Uint64
-	poolMisses atomic.Uint64
-)
-
-// PoolStats counts scratch-pool checkouts and the subset that had to
-// allocate a fresh (cold) Scratch. sync.Pool keeps per-P caches that GC
-// cycles and goroutine migration drain, so under an oversubscribed
-// multi-core pool the miss rate is the tell for cold-scratch re-warming
-// costs (re-interning, memo-map cloning) — the per-worker allocation
-// leak the estimator's own worker environments exist to avoid
-// (DESIGN.md §12).
-type PoolStats struct {
-	Gets   uint64 `json:"gets"`
-	Misses uint64 `json:"misses"`
-}
-
-// Stats snapshots the pool counters.
-func Stats() PoolStats {
-	return PoolStats{Gets: poolGets.Load(), Misses: poolMisses.Load()}
-}
-
-// Get checks a Scratch out of the pool.
-func Get() *Scratch { poolGets.Add(1); return pool.Get().(*Scratch) }
-
-// Put returns a Scratch to the pool. The caller must not retain any
-// alias into it afterwards.
-func Put(sc *Scratch) { pool.Put(sc) }

@@ -12,7 +12,7 @@ package server
 // Ownership: a serveScratch belongs to one request from checkout to
 // Put. Request bytes live in sc.body (and the decoder's unescape
 // scratch), phrase strings handed to core are unsafe views of those
-// bytes — core never retains them (see core.EstimateIngredientScratch) —
+// bytes — core never retains them (see core.EstimateIngredient) —
 // and the response is rendered into sc.out before anything is written
 // to the ResponseWriter. Nothing of the request survives putServeScratch.
 
@@ -25,19 +25,17 @@ import (
 	"unsafe"
 
 	"nutriprofile/internal/jsonx"
-	"nutriprofile/internal/pipeline"
 )
 
-// serveScratch is the per-request arena: body buffer, pull decoder,
-// response buffer, the reusable ingredient-slice for recipe requests,
-// and a full pipeline scratch so /v1/estimate runs the estimator
-// without touching the pipeline pool.
+// serveScratch is the per-request codec arena: body buffer, pull
+// decoder, response buffer and the reusable ingredient-slice for recipe
+// requests. The estimator's working memory is not here: core checks a
+// worker environment out of its own free list for each call.
 type serveScratch struct {
 	body        []byte
 	out         []byte
 	dec         jsonx.Decoder
 	ingredients []string
-	pipe        pipeline.Scratch
 }
 
 // maxPooledScratch caps the byte capacity a scratch may carry back into

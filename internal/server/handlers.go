@@ -165,7 +165,7 @@ func (s *Server) estimateHot(sc *serveScratch, ctx context.Context, body io.Read
 	if err := ctx.Err(); err != nil {
 		return timeoutInto(sc, err)
 	}
-	resp := toEstimateResponse(s.est.EstimateIngredientScratch(phrase, &sc.pipe))
+	resp := toEstimateResponse(s.est.EstimateIngredient(phrase))
 	sc.out = appendEstimateResponse(sc.out, &resp)
 	sc.out = append(sc.out, '\n')
 	return http.StatusOK, sc.out

@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -128,7 +130,11 @@ func reportPercentiles(b *testing.B, lat []time.Duration) {
 
 // BenchmarkServeEstimate drives /v1/estimate with every distinct
 // corpus phrase. `full` is the whole stack including middleware;
-// `hot` is the pooled per-request path the 0 allocs/op gate covers.
+// `hot` is the pooled per-request path the 0 allocs/op gate covers;
+// `parallel` is `full` from GOMAXPROCS goroutines at once, so the
+// estimator's shared worker-environment free list is contended the way
+// concurrent interactive traffic contends it (run it at several -cpu
+// values).
 func BenchmarkServeEstimate(b *testing.B) {
 	s := newBenchServer(b)
 	var bodies [][]byte
@@ -175,6 +181,40 @@ func BenchmarkServeEstimate(b *testing.B) {
 				b.Fatalf("status %d, %d body bytes", status, len(out))
 			}
 		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "phrases/s")
+	})
+
+	b.Run("parallel", func(b *testing.B) {
+		h := s.Handler()
+		// One request set per goroutine, built outside the timed region:
+		// a request's Body is re-attached on every replay.
+		sets := make([][]benchRequest, runtime.GOMAXPROCS(0))
+		for g := range sets {
+			sets[g] = make([]benchRequest, len(bodies))
+			for i, body := range bodies {
+				sets[g][i] = newBenchRequest("/v1/estimate", body)
+			}
+		}
+		var next atomic.Int32
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			g := int(next.Add(1)) - 1
+			reqs := sets[g%len(sets)]
+			w := &nullWriter{h: make(http.Header, 4)}
+			// Start each goroutine at its own offset in the corpus.
+			for i := g * len(reqs) / len(sets); pb.Next(); i++ {
+				br := &reqs[i%len(reqs)]
+				br.body.Seek(0, io.SeekStart)
+				br.req.Body = readCloser{br.body}
+				w.status = 0
+				h.ServeHTTP(w, br.req)
+				if w.status != 0 && w.status != http.StatusOK {
+					b.Errorf("status %d", w.status)
+					return
+				}
+			}
+		})
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "phrases/s")
 	})
 }

@@ -17,7 +17,6 @@ import (
 	"nutriprofile/internal/match"
 	"nutriprofile/internal/memo"
 	"nutriprofile/internal/metrics"
-	"nutriprofile/internal/pipeline"
 )
 
 // StatsResponse is the GET /v1/stats body: the full observability
@@ -29,8 +28,7 @@ type StatsResponse struct {
 		Phrase memo.Stats `json:"phrase"`
 		Match  memo.Stats `json:"match"`
 	} `json:"memo"`
-	Shard   core.ShardStats      `json:"shard"`
-	Scratch pipeline.PoolStats   `json:"scratch_pool"`
+	Env     core.EnvStats        `json:"env"`
 	Matcher match.MatcherStats   `json:"matcher"`
 	DB      core.SnapshotStats   `json:"db"`
 	HTTP    metrics.Snapshot     `json:"http"`
@@ -42,8 +40,7 @@ type StatsResponse struct {
 func (s *Server) stats() StatsResponse {
 	var out StatsResponse
 	out.Memo.Phrase, out.Memo.Match = s.est.CacheStats()
-	out.Shard = s.est.ShardStats()
-	out.Scratch = pipeline.Stats()
+	out.Env = s.est.EnvStats()
 	out.Matcher = s.est.MatcherStats()
 	out.DB = s.est.SnapshotStats()
 	out.HTTP = s.reg.Snapshot()
@@ -176,17 +173,12 @@ var families = []family{
 	scalar("nutriserve_match_vocab_size", "Distinct terms in the live scoring index's vocabulary.", "gauge",
 		func(st *StatsResponse) any { return float64(st.Matcher.VocabSize) }),
 
-	scalar("nutriserve_shard_envs_total", "Batch-worker environments ever created.", "counter",
-		func(st *StatsResponse) any { return st.Shard.Envs }),
-	scalar("nutriserve_shard_phrases_total", "Phrases estimated by batch workers.", "counter",
-		func(st *StatsResponse) any { return st.Shard.Phrases }),
-	scalar("nutriserve_shard_worker_flushes_total", "Batched per-worker stat flushes, one per worker per batch.", "counter",
-		func(st *StatsResponse) any { return st.Shard.WorkerFlushes }),
-
-	scalar("nutriserve_scratch_pool_gets_total", "NLP scratch checkouts from the process-wide pool.", "counter",
-		func(st *StatsResponse) any { return st.Scratch.Gets }),
-	scalar("nutriserve_scratch_pool_misses_total", "NLP scratch checkouts that allocated a fresh scratch.", "counter",
-		func(st *StatsResponse) any { return st.Scratch.Misses }),
+	scalar("nutriserve_env_checkouts_total", "Worker-environment checkouts: one per phrase estimate, recipe or batch worker.", "counter",
+		func(st *StatsResponse) any { return st.Env.Checkouts }),
+	scalar("nutriserve_env_created_total", "Worker environments ever created (free-list misses).", "counter",
+		func(st *StatsResponse) any { return st.Env.Created }),
+	scalar("nutriserve_env_phrases_total", "Phrases estimated on worker environments.", "counter",
+		func(st *StatsResponse) any { return st.Env.Phrases }),
 
 	scalar("nutriserve_db_foods", "Foods in the live composition table.", "gauge",
 		func(st *StatsResponse) any { return st.DB.Foods }),
