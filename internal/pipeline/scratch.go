@@ -2,9 +2,8 @@
 // front-end (tokenize → POS-tag → lemmatize → NER → unit lookup) runs
 // in. One Scratch holds every buffer and memo the per-phrase hot path
 // needs, so a warm Scratch processes a phrase with zero heap
-// allocations. This package keeps no pool: each of core.Estimator's
-// worker environments owns one Scratch, and the estimator's bounded
-// free list hands environments out.
+// allocations. Each of core.Estimator's worker environments owns one
+// Scratch, handed out by the estimator's bounded free list.
 //
 // Ownership model (DESIGN.md §10): a Scratch belongs to exactly one
 // goroutine between checkout and return. Results that outlive the phrase
